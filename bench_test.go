@@ -66,7 +66,7 @@ func asDollars(b *testing.B, cell string) float64 {
 func BenchmarkTable1Latencies(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunTable1(1)
+		tables = core.RunTable1(core.Options{Seed: 1})
 	}
 	b.ReportMetric(asMillis(b, headline(b, tables, "Latency", 1)), "invoke-ms")
 	b.ReportMetric(asMillis(b, headline(b, tables, "Latency", 2)), "lambda-s3-ms")
@@ -78,7 +78,7 @@ func BenchmarkTable1Latencies(b *testing.B) {
 func BenchmarkFigure1Trends(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFigure1(1)
+		tables = core.RunFigure1(core.Options{Seed: 1})
 	}
 	if len(tables[0].Rows) != 2 {
 		b.Fatal("figure 1 incomplete")
@@ -90,7 +90,7 @@ func BenchmarkFigure1Trends(b *testing.B) {
 func BenchmarkTrainingCaseStudy(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunTraining(1)
+		tables = core.RunTraining(core.Options{Seed: 1})
 	}
 	lambdaMin := asMillis(b, headline(b, tables, "Lambda", 5)) / 60000
 	ec2Min := asMillis(b, headline(b, tables, "EC2 m4.large", 5)) / 60000
@@ -104,7 +104,7 @@ func BenchmarkTrainingCaseStudy(b *testing.B) {
 func BenchmarkServingLatency(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunServing(1)
+		tables = core.RunServing(core.Options{Seed: 1})
 	}
 	b.ReportMetric(asMillis(b, headline(b, tables, "Lambda, model fetched", 1)), "lambda-fetch-ms")
 	b.ReportMetric(asMillis(b, headline(b, tables, "Lambda, compiled-in", 1)), "lambda-opt-ms")
@@ -117,7 +117,7 @@ func BenchmarkServingLatency(b *testing.B) {
 func BenchmarkServingCost(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunServingCost(1)
+		tables = core.RunServingCost(core.Options{Seed: 1})
 	}
 	sqs := asDollars(b, headline(b, tables, "SQS requests alone", 2))
 	ec2 := asDollars(b, headline(b, tables, "EC2 m5.large fleet", 2))
@@ -131,7 +131,7 @@ func BenchmarkServingCost(b *testing.B) {
 func BenchmarkElectionBlackboard(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunElection(1)
+		tables = core.RunElection(core.Options{Seed: 1})
 	}
 	b.ReportMetric(asMillis(b, headline(b, tables, "Election round", 1))/1000, "round-s")
 	b.ReportMetric(asDollars(b, headline(b, tables, "Storage cost, 1,000 nodes", 1)), "usd-hr-1000n")
@@ -142,7 +142,7 @@ func BenchmarkElectionBlackboard(b *testing.B) {
 func BenchmarkBandwidthSweep(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunBandwidth(1)
+		tables = core.RunBandwidth(core.Options{Seed: 1})
 	}
 	solo, _ := strconv.ParseFloat(strings.Fields(headline(b, tables, "1", 1))[0], 64)
 	packed, _ := strconv.ParseFloat(strings.Fields(headline(b, tables, "20", 1))[0], 64)
@@ -154,7 +154,7 @@ func BenchmarkBandwidthSweep(b *testing.B) {
 func BenchmarkWorkflowSignup(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunWorkflow(1)
+		tables = core.RunWorkflow(core.Options{Seed: 1})
 	}
 	b.ReportMetric(asMillis(b, headline(b, tables, "FaaS pipeline", 1)), "pipeline-ms")
 	b.ReportMetric(asMillis(b, headline(b, tables, "Single EC2 process", 1)), "monolith-ms")
@@ -164,7 +164,7 @@ func BenchmarkWorkflowSignup(b *testing.B) {
 func BenchmarkAblationFirecracker(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFirecracker(1)
+		tables = core.RunFirecracker(core.Options{Seed: 1})
 	}
 	b.ReportMetric(asMillis(b, headline(b, tables, "Cold invoke", 1)), "cold-classic-ms")
 	b.ReportMetric(asMillis(b, headline(b, tables, "Cold invoke", 2)), "cold-firecracker-ms")
@@ -174,7 +174,7 @@ func BenchmarkAblationFirecracker(b *testing.B) {
 func BenchmarkAblationFastNIC(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFastNIC(1)
+		tables = core.RunFastNIC(core.Options{Seed: 1})
 	}
 	v, _ := strconv.ParseFloat(strings.Fields(headline(b, tables, "64", 1))[0], 64)
 	b.ReportMetric(v/8, "mbytes-per-core")
@@ -184,7 +184,7 @@ func BenchmarkAblationFastNIC(b *testing.B) {
 func BenchmarkFuturePlatform(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFuture(1)
+		tables = core.RunFuture(core.Options{Seed: 1})
 	}
 	b.ReportMetric(asMillis(b, headline(b, tables, "Model training", 2))/60000, "training-min")
 	b.ReportMetric(asMillis(b, headline(b, tables, "Prediction serving", 2)), "serving-ms")
@@ -194,7 +194,7 @@ func BenchmarkFuturePlatform(b *testing.B) {
 func BenchmarkElectionSweep(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunElectionSweep(1)
+		tables = core.RunElectionSweep(core.Options{Seed: 1})
 	}
 	b.ReportMetric(asMillis(b, headline(b, tables, "1 Hz", 1))/1000, "round-1hz-s")
 	b.ReportMetric(asMillis(b, headline(b, tables, "8 Hz", 1))/1000, "round-8hz-s")
@@ -204,7 +204,7 @@ func BenchmarkElectionSweep(b *testing.B) {
 func BenchmarkAutoscaleUnderLoad(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunAutoscale(1)
+		tables = core.RunAutoscale(core.Options{Seed: 1})
 	}
 	b.ReportMetric(asMillis(b, headline(b, tables, "50 req/s", 2)), "lambda-p99-ms")
 	b.ReportMetric(asMillis(b, headline(b, tables, "50 req/s", 4))/1000, "ec2-p99-s")
@@ -217,7 +217,7 @@ func BenchmarkAutoscaleUnderLoad(b *testing.B) {
 func BenchmarkRegionScaleKV(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunRegionScale(1)
+		tables = core.RunRegionScale(core.Options{Seed: 1})
 	}
 	rps := func(shardRow string) float64 {
 		v, err := strconv.ParseFloat(headline(b, tables, shardRow, 1), 64)
@@ -241,7 +241,7 @@ func BenchmarkRegionScaleKV(b *testing.B) {
 func BenchmarkFaaSScale(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFaaSScale(1)
+		tables = core.RunFaaSScale(core.Options{Seed: 1})
 	}
 	coldPct := func(row string) float64 {
 		v, err := strconv.ParseFloat(strings.TrimSuffix(headline(b, tables, row, 4), "%"), 64)
@@ -267,7 +267,7 @@ func BenchmarkFaaSScale(b *testing.B) {
 func BenchmarkMillionUserKV(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunMillionUser(1)
+		tables = core.RunMillionUser(core.Options{Seed: 1})
 	}
 	rps := func(shardRow string) float64 {
 		v, err := strconv.ParseFloat(headline(b, tables, shardRow, 1), 64)
@@ -296,7 +296,7 @@ func BenchmarkMillionUserKV(b *testing.B) {
 func BenchmarkStateCacheScale(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunStateCache(1)
+		tables = core.RunStateCache(core.Options{Seed: 1})
 	}
 	uncachedP99 := asMillis(b, headline(b, tables, "uncached", 5))
 	cachedRow := func(col int) string {
@@ -324,8 +324,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing experiment %s", id)
 		}
-		a := render(e.Run(7))
-		b := render(e.Run(7))
+		a := render(e.Run(core.Options{Seed: 7}))
+		b := render(e.Run(core.Options{Seed: 7}))
 		if a != b {
 			t.Errorf("experiment %s is nondeterministic", id)
 		}

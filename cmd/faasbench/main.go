@@ -10,11 +10,13 @@
 //	faasbench -run millionuser [-users 1000000]
 //	faasbench -run regionscale -sketch -population
 //
+// The flags build one core.Options value that every experiment receives.
 // Multi-point experiments fan their sweep points across -workers
-// concurrent simulator kernels (default GOMAXPROCS; the SWEEP_WORKERS
-// environment variable also overrides). Output is byte-identical at any
-// worker count — each point derives its randomness from (seed, point)
-// alone and results merge in point order.
+// concurrent simulator kernels (0 = the SWEEP_WORKERS environment
+// variable, else GOMAXPROCS). Output is byte-identical at any worker count
+// — each point derives its randomness from (seed, point) alone and results
+// merge in point order. Negative -workers or -users values are rejected
+// with exit status 2.
 //
 // -sketch swaps every experiment's exact latency recorder for a
 // fixed-memory quantile sketch (≤1% percentile error; mean, extremes, and
@@ -34,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sweep"
 )
 
 func main() {
@@ -51,34 +52,15 @@ func main() {
 		"override the simulated client-population size (0 = each experiment's default)")
 	recon := flag.Bool("recon", false,
 		"reconcile statecache gossip with constant-size IBF summaries instead of per-key digests")
-	chaosOn := flag.Bool("chaos", true,
-		"inject the regionfailover experiment's faults (false = healthy control rows only)")
-	regions := flag.Int("regions", 0,
-		"override the regionfailover experiment's region count (0 = default of 2)")
-	policy := flag.String("policy", "all",
-		"restrict the retrystorm experiment to one client policy (no-retry, naive-retry, full-policy, full+hedge, or all)")
 	flag.Parse()
-	sweep.SetWorkers(*workers)
-	core.SetSketchStats(*sketch)
-	core.SetPopulationLoad(*population)
-	core.SetUsers(*users)
-	core.SetReconGossip(*recon)
-	core.SetChaos(*chaosOn)
-	core.SetRegions(*regions)
-	if *policy != "" && *policy != "all" {
-		known := false
-		for _, name := range core.PolicyNames() {
-			if name == *policy {
-				known = true
-			}
-		}
-		if !known {
-			fmt.Fprintf(os.Stderr, "faasbench: unknown -policy %q (want one of %v, or all)\n",
-				*policy, core.PolicyNames())
-			os.Exit(2)
-		}
+	if *workers < 0 {
+		usageError("-workers must be >= 0, got %d", *workers)
 	}
-	core.SetPolicy(*policy)
+	if *users < 0 {
+		usageError("-users must be >= 0, got %d", *users)
+	}
+	opts := core.Options{Seed: *seed, Sketch: *sketch, Population: *population,
+		Users: *users, Workers: *workers, Recon: *recon}
 
 	if *list {
 		for _, e := range core.Experiments() {
@@ -93,19 +75,24 @@ func main() {
 	} else {
 		e, ok := core.ExperimentByID(*runID)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "faasbench: unknown experiment %q (use -list)\n", *runID)
-			os.Exit(2)
+			usageError("unknown experiment %q (use -list)", *runID)
 		}
 		exps = []core.Experiment{e}
 	}
 
 	for _, e := range exps {
 		start := time.Now()
-		tables := e.Run(*seed)
+		tables := e.Run(opts)
 		elapsed := time.Since(start)
 		fmt.Printf("== %s  (id=%s, seed=%d, wall=%.1fs)\n\n", e.Title, e.ID, *seed, elapsed.Seconds())
 		for _, t := range tables {
 			fmt.Println(t.Render())
 		}
 	}
+}
+
+// usageError reports bad command-line input and exits with status 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "faasbench: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -29,11 +29,12 @@ type Event struct {
 // Engine schedules fault injections on a kernel. Not safe for concurrent
 // use; like the rest of the simulator it lives on one kernel's timeline.
 type Engine struct {
-	k      *sim.Kernel
-	rng    *simrand.RNG
-	slow   map[string]float64
-	events []Event
-	n      int // injection counter, names the injector procs
+	k       *sim.Kernel
+	rng     *simrand.RNG
+	slow    map[string]float64
+	events  []Event
+	n       int // injection counter, names the injector procs
+	crashed int // VMs reclaimed by crash storms so far
 }
 
 // New creates an engine. The RNG is the engine's private fault source —
@@ -44,6 +45,9 @@ func New(k *sim.Kernel, rng *simrand.RNG) *Engine {
 
 // Events returns the injection log in occurrence order.
 func (e *Engine) Events() []Event { return e.events }
+
+// CrashedVMs returns how many VMs crash storms have reclaimed so far.
+func (e *Engine) CrashedVMs() int { return e.crashed }
 
 func (e *Engine) log(p *sim.Proc, format string, args ...any) {
 	e.events = append(e.events, Event{At: p.Now(), What: fmt.Sprintf(format, args...)})
@@ -76,6 +80,7 @@ func (e *Engine) CrashStormAt(pf *faas.Platform, n int, at time.Duration) {
 	e.spawn("crash", func(p *sim.Proc) {
 		p.Sleep(at)
 		crashed := pf.CrashVMs(n)
+		e.crashed += crashed
 		e.log(p, "crash storm: %d VMs", crashed)
 	})
 }

@@ -72,6 +72,11 @@ func TestCrashStormDestroysWarmPool(t *testing.T) {
 		}
 	})
 	eng.CrashStormAt(pf, 64, 10*time.Second)
+	var live int
+	k.Spawn("before", func(p *sim.Proc) {
+		p.Sleep(9 * time.Second)
+		live = pf.VMCount()
+	})
 	k.Spawn("after", func(p *sim.Proc) {
 		p.Sleep(11 * time.Second)
 		if pf.WarmIdle("f") != 0 {
@@ -86,6 +91,10 @@ func TestCrashStormDestroysWarmPool(t *testing.T) {
 	k.Run()
 	if !coldAfter {
 		t.Errorf("post-storm invocation reused a crashed VM's container")
+	}
+	// The storm asked for more VMs than exist, so it reclaims every one.
+	if live == 0 || eng.CrashedVMs() != live {
+		t.Errorf("CrashedVMs = %d, want all %d live VMs", eng.CrashedVMs(), live)
 	}
 }
 

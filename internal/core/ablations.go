@@ -11,11 +11,11 @@ import (
 
 // measureInvoke returns the mean invocation latency of a no-op 1KB call
 // over `trials` calls, forcing a cold start per call when forceCold is set.
-func measureInvoke(seed uint64, cfg Config, trials int, forceCold bool) time.Duration {
+func measureInvoke(o Options, cfg Config, trials int, forceCold bool) time.Duration {
 	if forceCold {
 		cfg.Lambda.WarmTTL = 1 // containers expire immediately
 	}
-	c := NewCloudWith(seed, cfg)
+	c := NewCloudWith(o.Seed, cfg)
 	defer c.Close()
 	if err := c.Lambda.Register(faas.Function{
 		Name: "noop", MemoryMB: 128, Timeout: time.Minute,
@@ -23,7 +23,7 @@ func measureInvoke(seed uint64, cfg Config, trials int, forceCold bool) time.Dur
 	}); err != nil {
 		panic(err)
 	}
-	rec := newSummary("invoke")
+	rec := o.newSummary("invoke")
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
 		payload := make([]byte, 1024)
@@ -51,7 +51,7 @@ func measureInvoke(seed uint64, cfg Config, trials int, forceCold bool) time.Dur
 // claim — "at best modest effects on our results in Table 1" — holds
 // because Table 1's number is dominated by invocation overhead, not
 // sandbox startup.
-func RunFirecracker(seed uint64) []*Table {
+func RunFirecracker(o Options) []*Table {
 	t := &Table{
 		Title:  "Ablation (footnote 5): Firecracker 125ms microVM startup",
 		Header: []string{"Scenario", "Classic cold start", "Firecracker", "Change"},
@@ -65,17 +65,17 @@ func RunFirecracker(seed uint64) []*Table {
 		trials     int
 	}
 	points := []invokePoint{
-		{false, false, seed, 300},
-		{true, false, seed, 300},
-		{false, true, seed + 1, 100},
-		{true, true, seed + 1, 100},
+		{false, false, o.Seed, 300},
+		{true, false, o.Seed, 300},
+		{false, true, o.Seed + 1, 100},
+		{true, true, o.Seed + 1, 100},
 	}
-	res := sweep.Map(points, func(_ int, pt invokePoint) time.Duration {
+	res := sweep.Map(o.Workers, points, func(_ int, pt invokePoint) time.Duration {
 		cfg := DefaultConfig()
 		if pt.fire {
 			cfg.Lambda.ColdStart = simrand.Const(FirecrackerColdStart)
 		}
-		return measureInvoke(pt.seed, cfg, pt.trials, pt.cold)
+		return measureInvoke(o.withSeed(pt.seed), cfg, pt.trials, pt.cold)
 	})
 	warmClassic, warmFire, coldClassic, coldFire := res[0], res[1], res[2], res[3]
 	t.AddRow("Warm invoke (Table 1 conditions)", FmtDur(warmClassic), FmtDur(warmFire),

@@ -24,7 +24,7 @@ import (
 // This is the honest counterweight to E1-E8: the paper's critique is not
 // that autoscaling is worthless, but that it currently costs data gravity
 // and addressability.
-func RunAutoscale(seed uint64) []*Table {
+func RunAutoscale(o Options) []*Table {
 	const window = 2 * time.Minute
 	rates := []float64{10, 30, 50}
 
@@ -36,13 +36,13 @@ func RunAutoscale(seed uint64) []*Table {
 	// simulations; even-numbered points run the Lambda side, odd the EC2
 	// side, preserving the original per-point seeds exactly.
 	type quantiles struct{ p50, p99 time.Duration }
-	points := sweep.Points(2*len(rates), func(i int) quantiles {
+	points := sweep.Points(o.Workers, 2*len(rates), func(i int) quantiles {
 		rate := rates[i/2]
 		if i%2 == 0 {
-			p50, p99 := autoscaleLambda(seed+uint64(i/2), rate, window)
+			p50, p99 := autoscaleLambda(o.withSeed(o.Seed+uint64(i/2)), rate, window)
 			return quantiles{p50, p99}
 		}
-		p50, p99 := autoscaleEC2(seed+uint64(i/2)+100, rate, window)
+		p50, p99 := autoscaleEC2(o.withSeed(o.Seed+uint64(i/2)+100), rate, window)
 		return quantiles{p50, p99}
 	})
 	for i, rate := range rates {
@@ -62,8 +62,8 @@ const (
 	ec2WorkBytes    = int64(0.05 * 1100e6)  // m5.large core
 )
 
-func autoscaleLambda(seed uint64, rate float64, window time.Duration) (p50, p99 time.Duration) {
-	c := NewCloud(seed)
+func autoscaleLambda(o Options, rate float64, window time.Duration) (p50, p99 time.Duration) {
+	c := NewCloud(o.Seed)
 	defer c.Close()
 	if err := c.Lambda.Register(faas.Function{
 		Name: "work", MemoryMB: 1769, Timeout: time.Minute,
@@ -74,7 +74,7 @@ func autoscaleLambda(seed uint64, rate float64, window time.Duration) (p50, p99 
 	}); err != nil {
 		panic(err)
 	}
-	rec := newSummary("lambda")
+	rec := o.newSummary("lambda")
 	gen := loadgen.New(c.RNG.Fork(), loadgen.Poisson{Rate: rate})
 	completed := 0
 	gen.Run(c.K, window, func(p *sim.Proc, _ int) {
@@ -92,10 +92,10 @@ func autoscaleLambda(seed uint64, rate float64, window time.Duration) (p50, p99 
 	return rec.Median(), rec.Percentile(99)
 }
 
-func autoscaleEC2(seed uint64, rate float64, window time.Duration) (p50, p99 time.Duration) {
-	c := NewCloud(seed)
+func autoscaleEC2(o Options, rate float64, window time.Duration) (p50, p99 time.Duration) {
+	c := NewCloud(o.Seed)
 	defer c.Close()
-	rec := newSummary("ec2")
+	rec := o.newSummary("ec2")
 
 	type req struct {
 		start sim.Time

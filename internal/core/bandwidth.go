@@ -59,13 +59,13 @@ func measurePerFunctionMbps(c *Cloud, n int, transferBytes int64) float64 {
 // functions onto shared VMs, per-function bandwidth collapses as
 // concurrency grows (the paper quotes 28.7 Mbps average at 20 functions,
 // 2.5 orders of magnitude below one SSD).
-func RunBandwidth(seed uint64) []*Table {
+func RunBandwidth(o Options) []*Table {
 	t := &Table{
 		Title:  "§3(2): per-function network bandwidth under same-VM packing",
 		Header: []string{"Concurrent functions", "Per-function bandwidth", "vs one SSD (2.5GB/s)"},
 	}
 	for _, n := range []int{1, 2, 4, 8, 12, 16, 20} {
-		c := NewCloud(seed + uint64(n))
+		c := NewCloud(o.Seed + uint64(n))
 		mbps := measurePerFunctionMbps(c, n, 32e6)
 		c.Close()
 		mbPerSec := mbps / 8
@@ -82,7 +82,7 @@ func RunBandwidth(seed uint64) []*Table {
 // networking on 64-core hosts. Solo functions look great; under full
 // packing each core still gets ~200 MB/s — an order of magnitude below one
 // SSD, so the architectural problem stands.
-func RunFastNIC(seed uint64) []*Table {
+func RunFastNIC(o Options) []*Table {
 	cfg := DefaultConfig()
 	cfg.Lambda.VMNICBps = netsim.Gbps(100)
 	cfg.Lambda.ContainersPerVM = 64
@@ -92,7 +92,7 @@ func RunFastNIC(seed uint64) []*Table {
 		Header: []string{"Concurrent functions", "Per-function bandwidth", "vs one SSD (2.5GB/s)"},
 	}
 	for _, n := range []int{1, 16, 64} {
-		c := NewCloudWith(seed+uint64(n), cfg)
+		c := NewCloudWith(o.Seed+uint64(n), cfg)
 		mbps := measurePerFunctionMbps(c, n, 256e6)
 		c.Close()
 		mbPerSec := mbps / 8

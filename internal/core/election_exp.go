@@ -64,8 +64,8 @@ func (cl *bbCluster) nodeByID(id int) *election.Node {
 // measureRounds crashes the current leader `rounds` times, measuring crash-
 // to-agreement latency; each deposed leader stays down (bully order walks
 // down the id space).
-func (cl *bbCluster) measureRounds(rounds int) stats.Summary {
-	rec := newSummary("round")
+func (cl *bbCluster) measureRounds(o Options, rounds int) stats.Summary {
+	rec := o.newSummary("round")
 	k := cl.c.K
 	if !runKernelUntil(k, k.Now()+sim.Time(5*time.Minute), sim.Time(250*time.Millisecond),
 		func() bool { return cl.agreed() > 0 }) {
@@ -113,7 +113,7 @@ func steadyStateUnitsPerCycle(seed uint64, n int, window time.Duration) (readUni
 // 4 polls per second. It reports the election round latency (paper: 16.7s),
 // the share of a 15-minute Lambda lifetime that consumes (paper: 1.9%), and
 // the storage bill for a 1,000-node cluster (paper: at least $450/hr).
-func RunElection(seed uint64) []*Table {
+func RunElection(o Options) []*Table {
 	// The latency cluster and the two cost clusters are independent
 	// simulations with their own seeds, so they sweep concurrently:
 	// point 0 crashes leaders on a 10-node cluster, points 1 and 2
@@ -125,19 +125,19 @@ func RunElection(seed uint64) []*Table {
 		catalog     *pricing.Catalog
 		read, write float64
 	}
-	pts := sweep.Points(3, func(i int) electionPoint {
+	pts := sweep.Points(o.Workers, 3, func(i int) electionPoint {
 		switch i {
 		case 0:
 			// Latency: a 10-node cluster, four leader crashes.
-			c := NewCloud(seed)
+			c := NewCloud(o.Seed)
 			defer c.Close()
 			cl := newBBCluster(c, 10, election.PaperParams())
-			return electionPoint{rounds: cl.measureRounds(4), catalog: c.Catalog}
+			return electionPoint{rounds: cl.measureRounds(o, 4), catalog: c.Catalog}
 		case 1:
-			r, w := steadyStateUnitsPerCycle(seed+1, 10, 30*time.Second)
+			r, w := steadyStateUnitsPerCycle(o.Seed+1, 10, 30*time.Second)
 			return electionPoint{read: r, write: w}
 		default:
-			r, w := steadyStateUnitsPerCycle(seed+2, 100, 15*time.Second)
+			r, w := steadyStateUnitsPerCycle(o.Seed+2, 100, 15*time.Second)
 			return electionPoint{read: r, write: w}
 		}
 	})
@@ -182,7 +182,7 @@ func RunElection(seed uint64) []*Table {
 // RunElectionSweep is the sensitivity ablation: election round latency and
 // 1,000-node hourly cost as the polling rate varies, with protocol timeouts
 // scaled proportionally (as any deployment tuning them together would).
-func RunElectionSweep(seed uint64) []*Table {
+func RunElectionSweep(o Options) []*Table {
 	t := &Table{
 		Title:  "Sensitivity: bully-on-blackboard vs polling rate (6 nodes, timeouts scaled)",
 		Header: []string{"Polling rate", "Round latency", "Read units/s per node", "Est. $/hr at 1,000 nodes"},
@@ -195,7 +195,7 @@ func RunElectionSweep(seed uint64) []*Table {
 		unitsPerSec float64
 	}
 	rates := []int{1, 2, 4, 8}
-	results := sweep.Map(rates, func(_ int, hz int) sweepResult {
+	results := sweep.Map(o.Workers, rates, func(_ int, hz int) sweepResult {
 		poll := time.Second / time.Duration(hz)
 		scale := float64(poll) / float64(base.PollInterval)
 		params := election.Params{
@@ -205,10 +205,10 @@ func RunElectionSweep(seed uint64) []*Table {
 			OKWait:          time.Duration(float64(base.OKWait) * scale),
 			CoordWait:       time.Duration(float64(base.CoordWait) * scale),
 		}
-		c := NewCloud(seed + uint64(hz))
+		c := NewCloud(o.Seed + uint64(hz))
 		defer c.Close()
 		cl := newBBCluster(c, 6, params)
-		rec := cl.measureRounds(2)
+		rec := cl.measureRounds(o, 2)
 
 		// Steady-state read-unit rate at this polling frequency.
 		c.Meter.Reset()

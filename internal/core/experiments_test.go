@@ -76,7 +76,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	tb := RunTable1(1)[0]
+	tb := RunTable1(Options{Seed: 1})[0]
 	row := tb.Rows[0] // measured latencies
 	invoke := parseDur(t, row[1])
 	lambdaS3 := parseDur(t, row[2])
@@ -103,7 +103,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFigure1Headline(t *testing.T) {
-	tb := RunFigure1(1)[0]
+	tb := RunFigure1(Options{Seed: 1})[0]
 	if len(tb.Rows) != 2 {
 		t.Fatalf("figure1 rows = %d", len(tb.Rows))
 	}
@@ -114,7 +114,7 @@ func TestFigure1Headline(t *testing.T) {
 }
 
 func TestTrainingMatchesPaper(t *testing.T) {
-	tb := RunTraining(1)[0]
+	tb := RunTraining(Options{Seed: 1})[0]
 	lambdaTotal := parseDur(t, cell(t, tb, "Lambda", 5))
 	ec2Total := parseDur(t, cell(t, tb, "EC2 m4.large", 5))
 	within(t, "lambda total", lambdaTotal, 440*time.Minute, 490*time.Minute) // paper: 465min
@@ -143,7 +143,7 @@ func TestTrainingMatchesPaper(t *testing.T) {
 }
 
 func TestServingMatchesPaper(t *testing.T) {
-	tb := RunServing(1)[0]
+	tb := RunServing(Options{Seed: 1})[0]
 	fetch := parseDur(t, cell(t, tb, "Lambda, model fetched", 1))
 	opt := parseDur(t, cell(t, tb, "Lambda, compiled-in", 1))
 	sqs := parseDur(t, cell(t, tb, "EC2 m5.large + SQS", 1))
@@ -163,7 +163,7 @@ func TestServingMatchesPaper(t *testing.T) {
 }
 
 func TestServingCostMatchesPaper(t *testing.T) {
-	tb := RunServingCost(1)[0]
+	tb := RunServingCost(Options{Seed: 1})[0]
 	sqsCost, _ := strconv.ParseFloat(strings.TrimPrefix(cell(t, tb, "SQS requests alone", 2), "$"), 64)
 	ec2Cost, _ := strconv.ParseFloat(strings.TrimPrefix(cell(t, tb, "EC2 m5.large fleet", 2), "$"), 64)
 	if sqsCost < 1500 || sqsCost > 1700 {
@@ -178,7 +178,7 @@ func TestServingCostMatchesPaper(t *testing.T) {
 }
 
 func TestElectionMatchesPaper(t *testing.T) {
-	tb := RunElection(1)[0]
+	tb := RunElection(Options{Seed: 1})[0]
 	round := parseDur(t, cell(t, tb, "Election round", 1))
 	within(t, "round", round, 14*time.Second, 19*time.Second) // paper: 16.7s
 
@@ -195,7 +195,7 @@ func TestElectionMatchesPaper(t *testing.T) {
 }
 
 func TestBandwidthMatchesPaper(t *testing.T) {
-	tb := RunBandwidth(1)[0]
+	tb := RunBandwidth(Options{Seed: 1})[0]
 	get := func(n string) float64 {
 		c := cell(t, tb, n, 1)
 		v, _ := strconv.ParseFloat(strings.Fields(c)[0], 64)
@@ -215,7 +215,7 @@ func TestBandwidthMatchesPaper(t *testing.T) {
 }
 
 func TestWorkflowOverheadShape(t *testing.T) {
-	tb := RunWorkflow(1)[0]
+	tb := RunWorkflow(Options{Seed: 1})[0]
 	faasLat := parseDur(t, cell(t, tb, "FaaS pipeline", 1))
 	monoLat := parseDur(t, cell(t, tb, "Single EC2 process", 1))
 	if faasLat < 3*time.Second {
@@ -230,7 +230,7 @@ func TestWorkflowOverheadShape(t *testing.T) {
 }
 
 func TestFirecrackerAblation(t *testing.T) {
-	tb := RunFirecracker(1)[0]
+	tb := RunFirecracker(Options{Seed: 1})[0]
 	warmClassic := parseDur(t, cell(t, tb, "Warm invoke", 1))
 	warmFire := parseDur(t, cell(t, tb, "Warm invoke", 2))
 	coldClassic := parseDur(t, cell(t, tb, "Cold invoke", 1))
@@ -249,7 +249,7 @@ func TestFirecrackerAblation(t *testing.T) {
 }
 
 func TestFastNICAblation(t *testing.T) {
-	tb := RunFastNIC(1)[0]
+	tb := RunFastNIC(Options{Seed: 1})[0]
 	c := cell(t, tb, "64", 1)
 	v, _ := strconv.ParseFloat(strings.Fields(c)[0], 64)
 	perCoreMBps := v / 8
@@ -262,7 +262,7 @@ func TestFastNICAblation(t *testing.T) {
 }
 
 func TestFutureClosesTheGaps(t *testing.T) {
-	tb := RunFuture(1)[0]
+	tb := RunFuture(Options{Seed: 1})[0]
 	training := cell(t, tb, "Model training", 2)
 	train := parseDur(t, training)
 	// Near-EC2 speed: paper's EC2 run is ~21.7min.
@@ -278,7 +278,7 @@ func TestFutureClosesTheGaps(t *testing.T) {
 }
 
 func TestElectionSweepShape(t *testing.T) {
-	tb := RunElectionSweep(1)[0]
+	tb := RunElectionSweep(Options{Seed: 1})[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("sweep rows = %d, want 4", len(tb.Rows))
 	}
@@ -293,7 +293,7 @@ func TestElectionSweepShape(t *testing.T) {
 }
 
 func TestAutoscaleShape(t *testing.T) {
-	tb := RunAutoscale(1)[0]
+	tb := RunAutoscale(Options{Seed: 1})[0]
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 load levels", len(tb.Rows))
 	}

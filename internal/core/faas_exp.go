@@ -77,16 +77,16 @@ type faasScaleResult struct {
 
 // runFaaSScale measures one provisioned-concurrency level (fixed if
 // provisioned >= 0, autoscaled otherwise).
-func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
+func runFaaSScale(o Options, provisioned int) faasScaleResult {
 	cfg := DefaultConfig()
 	cfg.Lambda.WarmTTL = faasScaleWarmTTL
 	cfg.DDB.ShardCount = faasScaleShards
-	c := NewCloudWith(seed, cfg)
+	c := NewCloudWith(o.Seed, cfg)
 	defer c.Close()
 
 	client := c.ClientNode("faasscale-client")
 	inQ := c.SQS.CreateQueue("faasscale-in", 2*time.Minute)
-	rec := newSummary("faasscale")
+	rec := o.newSummary("faasscale")
 	value := make([]byte, faasScaleValueBytes)
 	completed := 0
 	seen := make(map[int]bool) // SQS is at-least-once; count each Seq once
@@ -190,7 +190,7 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 // RunFaaSScale regenerates the FaaS serving-tier scaling table: flash-crowd
 // load through the full SQS -> Lambda -> kvstore stack at growing
 // provisioned concurrency, plus the target-tracking autoscaler.
-func RunFaaSScale(seed uint64) []*Table {
+func RunFaaSScale(o Options) []*Table {
 	t := &Table{
 		Title: "FaaS at region scale: flash-crowd serving vs provisioned concurrency",
 		Header: []string{"Provisioned", "Done req/s", "p50", "p99",
@@ -199,8 +199,8 @@ func RunFaaSScale(seed uint64) []*Table {
 	// Every provisioned-concurrency level simulates an independent cloud
 	// from (seed, prov); the sweep engine runs them concurrently and hands
 	// back results in sweep order.
-	results := sweep.Map([]int{0, 8, 32, -1}, func(_ int, prov int) faasScaleResult {
-		return runFaaSScale(seed, prov)
+	results := sweep.Map(o.Workers, []int{0, 8, 32, -1}, func(_ int, prov int) faasScaleResult {
+		return runFaaSScale(o, prov)
 	})
 	for _, r := range results {
 		label := r.provisioned

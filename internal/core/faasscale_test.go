@@ -13,9 +13,9 @@ func TestFaaSScaleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faas-scale scenario in -short mode")
 	}
-	r0 := runFaaSScale(1, 0)
-	r32 := runFaaSScale(1, 32)
-	auto := runFaaSScale(1, -1)
+	r0 := runFaaSScale(Options{Seed: 1}, 0)
+	r32 := runFaaSScale(Options{Seed: 1}, 32)
+	auto := runFaaSScale(Options{Seed: 1}, -1)
 
 	// The reaper guarantees every burst cold-starts an unprovisioned
 	// fleet: a meaningful cold fraction, concentrated in the tail.
@@ -47,7 +47,7 @@ func TestFaaSScaleShape(t *testing.T) {
 		}
 	}
 
-	if again := runFaaSScale(1, -1); again != auto {
+	if again := runFaaSScale(Options{Seed: 1}, -1); again != auto {
 		t.Errorf("faasscale is nondeterministic: %+v vs %+v", again, auto)
 	}
 }
@@ -57,7 +57,7 @@ func TestFaaSScaleTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faas-scale scenario in -short mode")
 	}
-	tb := RunFaaSScale(1)[0]
+	tb := RunFaaSScale(Options{Seed: 1})[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d, want 3 fixed levels + auto", len(tb.Rows))
 	}

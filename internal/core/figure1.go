@@ -13,7 +13,7 @@ import (
 // shape-faithful reconstructions (Google's query logs are proprietary); the
 // claim being reproduced is that serverless interest reached MapReduce's
 // historic peak by publication time.
-func RunFigure1(uint64) []*Table {
+func RunFigure1(Options) []*Table {
 	mr := trends.MapReduce()
 	sl := trends.Serverless()
 	mrPeak, mrWhen := mr.Peak()

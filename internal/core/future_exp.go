@@ -17,10 +17,10 @@ import (
 // code/data placement, billed per GB-second like FaaS. The point of the
 // table is that the paper's gaps close without giving up autoscaling
 // pay-per-use.
-func RunFuture(seed uint64) []*Table {
-	trainTime, trainCost := futureTraining(seed)
-	serveBatch := futureServing(seed + 1)
-	electRound := futureElection(seed + 2)
+func RunFuture(o Options) []*Table {
+	trainTime, trainCost := futureTraining(o.Seed)
+	serveBatch := futureServing(o.withSeed(o.Seed + 1))
+	electRound := futureElection(o.Seed + 2)
 
 	t := &Table{
 		Title:  "§4 prototype: case studies on addressable agents with fluid placement",
@@ -79,11 +79,11 @@ func futureTraining(seed uint64) (time.Duration, pricing.USD) {
 
 // futureServing: client and server agents exchanging batches directly —
 // no queue service, no storage hop — at agent (not VM) granularity.
-func futureServing(seed uint64) time.Duration {
-	c := NewCloud(seed)
+func futureServing(o Options) time.Duration {
+	c := NewCloud(o.Seed)
 	defer c.Close()
 	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), future.DefaultConfig(), c.Catalog, c.Meter)
-	rec := newSummary("batch")
+	rec := o.newSummary("batch")
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
 		server := pf.SpawnAgent(p, "classifier", 1024, nil)

@@ -136,7 +136,7 @@ func TestCalibratedExperimentsMatchGoldenTraces(t *testing.T) {
 			t.Fatalf("golden experiment %q missing from registry", id)
 		}
 		got := ""
-		for _, tb := range e.Run(1) {
+		for _, tb := range e.Run(Options{Seed: 1}) {
 			got += tb.Render()
 		}
 		if got != want {

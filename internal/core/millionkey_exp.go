@@ -173,7 +173,7 @@ func runMillionKey(seed uint64, replicas, keyCount int, reconcile bool) millionK
 // reporting per-round gossip bytes by leg, the converged steady-state
 // bytes/round, convergence time after writes stop, staleness p99, and the
 // cache memory bill.
-func RunMillionKey(seed uint64) []*Table {
+func RunMillionKey(o Options) []*Table {
 	t := &Table{
 		Title: fmt.Sprintf("Million-key gossip: IBF set reconciliation vs per-key digests (%d keys)",
 			millionKeyDefault),
@@ -189,8 +189,8 @@ func RunMillionKey(seed uint64) []*Table {
 	// engine fans them across cores and rows commit in point order. (At the
 	// full key count each point holds replicas × 1M entries resident —
 	// use -workers 1 on RAM-tight machines.)
-	results := sweep.Map(points, func(_ int, pt point) millionKeyResult {
-		return runMillionKey(seed, pt.replicas, millionKeyDefault, pt.reconcile)
+	results := sweep.Map(o.Workers, points, func(_ int, pt point) millionKeyResult {
+		return runMillionKey(o.Seed, pt.replicas, millionKeyDefault, pt.reconcile)
 	})
 	var digestSteady, ibfSteady int64
 	for _, r := range results {

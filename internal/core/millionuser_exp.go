@@ -124,8 +124,8 @@ func runMillionUser(seed uint64, shards, users int, rate float64, window time.Du
 // completed throughput, sketched tail latencies, sketch footprint, and
 // extrapolated hourly storage cost as the partition count doubles from 16
 // to 64 under 100k req/s of open-loop population load.
-func RunMillionUser(seed uint64) []*Table {
-	users := configuredUsers(millionUsersDefault)
+func RunMillionUser(o Options) []*Table {
+	users := o.users(millionUsersDefault)
 	t := &Table{
 		Title: fmt.Sprintf("Million-user scale: %d simulated clients at %.0fk req/s aggregate", users, millionRate/1000),
 		Header: []string{"Shards", "Done req/s", "p50", "p99", "p99.9",
@@ -134,8 +134,8 @@ func RunMillionUser(seed uint64) []*Table {
 	// Each shard count is an independent simulation of (seed, shards); the
 	// sweep engine fans the points across cores and rows commit in sweep
 	// order, byte-identical to a sequential run.
-	results := sweep.Map([]int{16, 32, 64}, func(_ int, shards int) millionResult {
-		return runMillionUser(seed, shards, users, millionRate, millionWindow)
+	results := sweep.Map(o.Workers, []int{16, 32, 64}, func(_ int, shards int) millionResult {
+		return runMillionUser(o.Seed, shards, users, millionRate, millionWindow)
 	})
 	for _, r := range results {
 		t.AddRow(

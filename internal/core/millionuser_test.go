@@ -46,16 +46,13 @@ func TestMillionUserSaturation(t *testing.T) {
 // property to the millionuser family at reduced scale: the same sweep must
 // produce identical results at 1 and 4 workers.
 func TestMillionUserWorkerInvariance(t *testing.T) {
-	defer sweep.SetWorkers(0)
-	run := func() []millionResult {
-		return sweep.Map([]int{4, 8}, func(_ int, shards int) millionResult {
+	run := func(workers int) []millionResult {
+		return sweep.Map(workers, []int{4, 8}, func(_ int, shards int) millionResult {
 			return runMillionUser(1, shards, 5_000, 10_000, time.Second)
 		})
 	}
-	sweep.SetWorkers(1)
-	want := run()
-	sweep.SetWorkers(4)
-	got := run()
+	want := run(1)
+	got := run(4)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("point %d diverged across worker counts:\n  W=1: %+v\n  W=4: %+v",
@@ -64,15 +61,13 @@ func TestMillionUserWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestRegionScaleSketchMatchesExact flips the -sketch switch on the
+// TestRegionScaleSketchMatchesExact sets Options.Sketch on the
 // regionscale scenario: the simulation itself is untouched (same arrivals,
 // same completions, same bill), and the sketched percentiles stay within
 // the configured ≤1% relative error of the exact recorder's.
 func TestRegionScaleSketchMatchesExact(t *testing.T) {
-	exact := runRegionScale(1, 4)
-	SetSketchStats(true)
-	defer SetSketchStats(false)
-	sketched := runRegionScale(1, 4)
+	exact := runRegionScale(Options{Seed: 1}, 4)
+	sketched := runRegionScale(Options{Seed: 1, Sketch: true}, 4)
 
 	if sketched.completed != exact.completed || sketched.costPerHr != exact.costPerHr ||
 		sketched.hotShare != exact.hotShare {
@@ -89,15 +84,13 @@ func TestRegionScaleSketchMatchesExact(t *testing.T) {
 	within("p99", sketched.p99, exact.p99)
 }
 
-// TestRegionScalePopulationMode flips the -population switch: arrival
+// TestRegionScalePopulationMode sets Options.Population: arrival
 // times are bit-identical (shared gap-RNG fork order and rate), so the
 // completed request count must match the per-arrival mode almost exactly
 // even though key choice and submission fan-out differ.
 func TestRegionScalePopulationMode(t *testing.T) {
-	exact := runRegionScale(1, 4)
-	SetPopulationLoad(true)
-	defer SetPopulationLoad(false)
-	pop := runRegionScale(1, 4)
+	exact := runRegionScale(Options{Seed: 1}, 4)
+	pop := runRegionScale(Options{Seed: 1, Population: true}, 4)
 
 	if pop.completed == 0 {
 		t.Fatal("population mode completed nothing")
@@ -114,17 +107,21 @@ func TestRegionScalePopulationMode(t *testing.T) {
 	}
 }
 
-// TestMillionUserUsersOverride: the -users switch rescales the population
-// while holding the aggregate rate, so request volume — and the table's
-// shape — stay put.
+// TestMillionUserUsersOverride: Options.Users rescales the population
+// (0 keeps the experiment default) while the aggregate rate holds, so
+// request volume — and the table's shape — stay put.
 func TestMillionUserUsersOverride(t *testing.T) {
-	SetUsers(10_000)
-	defer SetUsers(0)
-	if got := configuredUsers(millionUsersDefault); got != 10_000 {
-		t.Fatalf("configuredUsers = %d after SetUsers(10000)", got)
+	if got := (Options{}).users(millionUsersDefault); got != millionUsersDefault {
+		t.Fatalf("Users: 0 resolved to %d, want the default %d", got, millionUsersDefault)
 	}
-	SetUsers(0)
-	if got := configuredUsers(millionUsersDefault); got != millionUsersDefault {
-		t.Fatalf("configuredUsers = %d after reset, want default", got)
+	if got := (Options{Users: 10_000}).users(millionUsersDefault); got != 10_000 {
+		t.Fatalf("Users: 10000 resolved to %d", got)
+	}
+	// Population mode at a 10x smaller population still sees the same
+	// arrival process, so completions stay within the window-edge slack.
+	def := runRegionScale(Options{Seed: 1, Population: true}, 4)
+	small := runRegionScale(Options{Seed: 1, Population: true, Users: regionKeySpace / 10}, 4)
+	if ratio := float64(small.completed) / float64(def.completed); ratio < 0.98 || ratio > 1.02 {
+		t.Errorf("Users override changed request volume: %d vs %d completed", small.completed, def.completed)
 	}
 }

@@ -1,87 +1,52 @@
 package core
 
-import (
-	"sync/atomic"
+import "repro/internal/stats"
 
-	"repro/internal/stats"
-)
+// Options configures one experiment run. The zero value (plus a seed) is
+// the reference configuration the goldens pin: exact recorders,
+// per-arrival load generation, per-key digest gossip, each experiment's
+// default population, and the default sweep worker count. cmd/faasbench
+// builds it from its flags.
+type Options struct {
+	// Seed makes the run deterministic; sub-simulations derive their
+	// seeds from it.
+	Seed uint64
+	// Sketch records latencies in fixed-memory sketches instead of exact
+	// recorders.
+	Sketch bool
+	// Population drives Poisson load from one aggregated client
+	// population instead of one process per arrival.
+	Population bool
+	// Users overrides the simulated client-population size of
+	// experiments that scale by user count (0 = each experiment's
+	// default).
+	Users int
+	// Workers is the sweep worker count (0 = SWEEP_WORKERS, then
+	// GOMAXPROCS). Output is byte-identical at any count.
+	Workers int
+	// Recon reconciles the statecache and regionfailover gossip with IBF
+	// summaries instead of per-key digests. The millionkey experiment
+	// always runs both protocols side by side.
+	Recon bool
+}
 
-// Experiment-wide switches for the million-user machinery. They default
-// off, so the exact recorder and per-arrival load generator remain the
-// reference path and seed-1 goldens stay byte-identical; cmd/faasbench
-// exposes them as -sketch / -population / -users. Atomics because sweep
-// workers read them concurrently; they are set once before Run, never
-// mid-experiment.
-var (
-	optSketch     atomic.Bool
-	optPopulation atomic.Bool
-	optUsers      atomic.Int64
-	optRecon      atomic.Bool
-	optNoChaos    atomic.Bool
-	optRegions    atomic.Int64
-	optPolicy     atomic.Value // string
-)
-
-// SetSketchStats switches experiment summaries between the exact Recorder
-// (default) and the fixed-memory Sketch.
-func SetSketchStats(on bool) { optSketch.Store(on) }
-
-// SetPopulationLoad switches load generation between one process per
-// arrival (default) and the aggregated client-population mode.
-func SetPopulationLoad(on bool) { optPopulation.Store(on) }
-
-// SetUsers overrides the simulated client-population size for experiments
-// that scale by user count (0 restores each experiment's default).
-func SetUsers(n int) { optUsers.Store(int64(n)) }
-
-// SetReconGossip switches the statecache experiment's gossip between the
-// per-key digest exchange (default, the goldens' reference protocol) and
-// IBF set reconciliation. The millionkey experiment always runs both
-// protocols side by side, so this only affects statecache.
-func SetReconGossip(on bool) { optRecon.Store(on) }
-
-// SetChaos gates the regionfailover experiment's fault injection (the
-// -chaos flag). Default on — the chaos rows are the experiment's point and
-// the goldens pin them — but off gives a clean all-healthy control run.
-func SetChaos(on bool) { optNoChaos.Store(!on) }
-
-// SetRegions overrides the regionfailover experiment's region count
-// (0 restores the default of 2).
-func SetRegions(n int) { optRegions.Store(int64(n)) }
-
-// SetPolicy restricts the retrystorm experiment to one client policy
-// variant by name ("" or "all" runs the whole sweep; see PolicyNames).
-func SetPolicy(name string) { optPolicy.Store(name) }
+// withSeed returns o reseeded, for sub-simulations whose seeds derive from
+// the experiment's.
+func (o Options) withSeed(seed uint64) Options {
+	o.Seed = seed
+	return o
+}
 
 // newSummary builds the latency summary every experiment records into,
-// honoring the -sketch switch.
-func newSummary(name string) stats.Summary {
-	return stats.NewSummary(name, optSketch.Load())
+// honoring Sketch.
+func (o Options) newSummary(name string) stats.Summary {
+	return stats.NewSummary(name, o.Sketch)
 }
 
-func sketchStats() bool { return optSketch.Load() }
-
-// configuredPolicy returns the -policy override ("" = run every variant).
-func configuredPolicy() string {
-	s, _ := optPolicy.Load().(string)
-	return s
-}
-func populationLoad() bool { return optPopulation.Load() }
-func reconGossip() bool    { return optRecon.Load() }
-func chaosEnabled() bool   { return !optNoChaos.Load() }
-
-// configuredRegions returns the -regions override, or def when unset.
-func configuredRegions(def int) int {
-	if n := optRegions.Load(); n >= 2 {
-		return int(n)
-	}
-	return def
-}
-
-// configuredUsers returns the -users override, or def when unset.
-func configuredUsers(def int) int {
-	if n := optUsers.Load(); n > 0 {
-		return int(n)
+// users returns the Users override, or def when unset.
+func (o Options) users(def int) int {
+	if o.Users > 0 {
+		return o.Users
 	}
 	return def
 }

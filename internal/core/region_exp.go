@@ -65,11 +65,11 @@ type regionResult struct {
 }
 
 // runRegionScale measures one shard count under the standard scenario.
-func runRegionScale(seed uint64, shards int) regionResult {
+func runRegionScale(o Options, shards int) regionResult {
 	cfg := DefaultConfig()
 	cfg.DDB.ShardCount = shards
 	cfg.DDB.ShardConcurrency = regionShardConcurrency
-	c := NewCloudWith(seed, cfg)
+	c := NewCloudWith(o.Seed, cfg)
 	defer c.Close()
 
 	clients := make([]*netsim.Node, regionClients)
@@ -77,7 +77,7 @@ func runRegionScale(seed uint64, shards int) regionResult {
 		clients[i] = c.ClientNode(fmt.Sprintf("region-client-%d", i))
 	}
 
-	rec := newSummary("region-kv")
+	rec := o.newSummary("region-kv")
 	completed := 0
 	value := make([]byte, regionValueBytes)
 	request := func(p *sim.Proc, seq int, key string) {
@@ -95,11 +95,11 @@ func runRegionScale(seed uint64, shards int) regionResult {
 		rec.Add(time.Duration(p.Now() - start))
 		completed++
 	}
-	if populationLoad() {
+	if o.Population {
 		// Aggregated mode: the same offered rate as the fluid sum of one
 		// Poisson source per user, each touching its own record; the
 		// thinned client identity replaces the sequence-hash key choice.
-		users := configuredUsers(regionKeySpace)
+		users := o.users(regionKeySpace)
 		pop := loadgen.NewPopulation(c.RNG.Fork(), c.RNG.Fork(),
 			users, regionOfferedRate/float64(users))
 		pop.Run(c.K, regionWindow, func(p *sim.Proc, seq, client int) {
@@ -143,7 +143,7 @@ func runRegionScale(seed uint64, shards int) regionResult {
 // throughput, completion latency, hot-shard skew, and extrapolated hourly
 // storage cost for a fixed offered load as the table's partition count
 // doubles from 1 to 8.
-func RunRegionScale(seed uint64) []*Table {
+func RunRegionScale(o Options) []*Table {
 	t := &Table{
 		Title: "Region scale: one logical KV table under 4,000 req/s open-loop load",
 		Header: []string{"Shards", "Done req/s", "Speedup", "p50", "p99",
@@ -152,8 +152,8 @@ func RunRegionScale(seed uint64) []*Table {
 	// Each shard count is an independent simulation of (seed, shards), so
 	// the sweep engine fans the points across cores; rows commit in sweep
 	// order, keeping the rendered table byte-identical to a sequential run.
-	results := sweep.Map([]int{1, 2, 4, 8}, func(_ int, shards int) regionResult {
-		return runRegionScale(seed, shards)
+	results := sweep.Map(o.Workers, []int{1, 2, 4, 8}, func(_ int, shards int) regionResult {
+		return runRegionScale(o, shards)
 	})
 	var base float64
 	for _, r := range results {

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/sweep"
 )
 
 // TestRegionScaleNearLinear is the tentpole's acceptance gate: with each
@@ -12,8 +14,8 @@ func TestRegionScaleNearLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("region-scale scenario in -short mode")
 	}
-	r1 := runRegionScale(1, 1)
-	r4 := runRegionScale(1, 4)
+	r1 := runRegionScale(Options{Seed: 1}, 1)
+	r4 := runRegionScale(Options{Seed: 1}, 4)
 
 	if ratio := r4.throughput / r1.throughput; ratio < 3 {
 		t.Errorf("4-shard speedup = %.2fx (%.0f vs %.0f req/s), want >= 3x",
@@ -35,7 +37,7 @@ func TestRegionScaleNearLinear(t *testing.T) {
 			r4.hotShare*100)
 	}
 
-	if again := runRegionScale(1, 4); again != r4 {
+	if again := runRegionScale(Options{Seed: 1}, 4); again != r4 {
 		t.Errorf("region scale is nondeterministic: %+v vs %+v", again, r4)
 	}
 }
@@ -45,7 +47,7 @@ func TestRegionScaleTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("region-scale scenario in -short mode")
 	}
-	tb := RunRegionScale(1)[0]
+	tb := RunRegionScale(Options{Seed: 1})[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 shard counts", len(tb.Rows))
 	}
@@ -56,5 +58,27 @@ func TestRegionScaleTable(t *testing.T) {
 	}
 	if p99at8 > 50*time.Millisecond {
 		t.Errorf("8-shard p99 = %v, want service-time-class latency", p99at8)
+	}
+}
+
+// TestRegionScaleConcurrentOptions: a sketched and an exact run on two
+// goroutines at once each equal their sequential run, because options
+// travel with the call rather than through process-wide state.
+func TestRegionScaleConcurrentOptions(t *testing.T) {
+	opts := []Options{{Seed: 1, Sketch: true}, {Seed: 1}}
+	run := func(workers int) []regionResult {
+		return sweep.Map(workers, opts, func(_ int, o Options) regionResult {
+			return runRegionScale(o, 4)
+		})
+	}
+	want, got := run(1), run(2)
+	if want[0] == want[1] {
+		t.Fatal("sketched and exact runs agree exactly; the test cannot tell them apart")
+	}
+	for i := range opts {
+		if got[i] != want[i] {
+			t.Errorf("%+v diverged when run concurrently:\n  sequential: %+v\n  concurrent: %+v",
+				opts[i], want[i], got[i])
+		}
 	}
 }

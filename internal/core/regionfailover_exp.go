@@ -1,9 +1,9 @@
 package core
 
 // The regionfailover scenario: the multi-region story the paper's §3/§4
-// critique implies but single-region experiments cannot show. Two (or
-// more) regions run the same serving workload — FaaS handlers over a
-// function-colocated state cache and a DynamoDB-style global table — while
+// critique implies but single-region experiments cannot show. Two regions
+// run the same serving workload — FaaS handlers over a function-colocated
+// state cache and a DynamoDB-style global table — while
 // a chaos engine severs the inter-region trunk for the middle third of the
 // window and crash-reclaims every hosting VM in the secondary region at
 // the same instant. The table reports, per phase (pre / during / post),
@@ -40,11 +40,13 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simrand"
 	"repro/internal/statecache"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
 const (
+	// rfRegions is the region count: a primary and a secondary joined by
+	// trunk 0-1, which the chaos run severs.
+	rfRegions = 2
 	// rfWindow is the full-scale measurement window; the partition covers
 	// its middle third.
 	rfWindow = 30 * time.Second
@@ -65,27 +67,17 @@ const (
 // signal (a real client would surface it as a 5xx).
 var errRegionUnavailable = errors.New("regionfailover: required region unreachable")
 
-// rfPhases labels the three measurement phases.
-var rfPhases = [3]string{"pre", "during", "post"}
-
-// rfPhase is one phase's measurements.
-type rfPhase struct {
-	rec    stats.Summary
-	served int
-	failed int
-	cost   pricing.USD
-}
-
 // rfResult is one variant's full measurement.
 type rfResult struct {
-	phases    [3]rfPhase
-	egress    int64 // total inter-region bytes
-	aborted   int64 // gossip rounds severed or partition-aborted
-	rounds    int64 // gossip rounds completed
-	replLost  int64 // replication batches severed mid-flight
-	replDone  int64 // writes applied cross-region
-	flushed   int64 // cache write-behind flushes
-	crashedVM int   // VMs lost to the storm (0 in the control run)
+	phases
+	cost      [3]pricing.USD // metered cost incurred in each phase
+	egress    int64          // total inter-region bytes
+	aborted   int64          // gossip rounds severed or partition-aborted
+	rounds    int64          // gossip rounds completed
+	replLost  int64          // replication batches severed mid-flight
+	replDone  int64          // writes applied cross-region
+	flushed   int64          // cache write-behind flushes
+	crashedVM int            // VMs lost to the storm (0 in the control run)
 }
 
 // rfKey renders the shared key for slot i.
@@ -106,37 +98,29 @@ func rfHash(region, seq int) uint64 {
 // runRegionFailover measures one variant. scale shrinks the window (tests
 // run at scale < 1 to keep the seeds × workers determinism sweep cheap);
 // the partition always covers the middle third.
-func runRegionFailover(seed uint64, regions int, withChaos bool, scale float64) rfResult {
+func runRegionFailover(o Options, withChaos bool, scale float64) rfResult {
 	window := time.Duration(float64(rfWindow) * scale)
-	partAt, partDur := window/3, window/3
+	res := rfResult{phases: o.newPhases("rf", window)}
 
 	k := sim.NewKernel()
 	defer k.Close()
-	rng := simrand.New(seed)
+	rng := simrand.New(o.Seed)
 	cfg := DefaultConfig()
 	net := netsim.NewNetwork(k, rng.Fork(), cfg.Latency)
 	catalog := pricing.Fall2018()
 	meter := &pricing.Meter{}
-	for a := 0; a < regions; a++ {
-		for b := a + 1; b < regions; b++ {
-			net.ConnectRegions(a, b, netsim.Gbps(1), netsim.WANUniform(rfWANMean, rfWANSpread))
-		}
-	}
+	net.ConnectRegions(0, 1, netsim.Gbps(1), netsim.WANUniform(rfWANMean, rfWANSpread))
 	net.MeterEgress(func(bytes int64) {
 		meter.ChargeCost("wan.egress", catalog.WANEgressPerGB*pricing.USD(float64(bytes)/1e9))
 	})
 
-	regionList := make([]int, regions)
-	for r := range regionList {
-		regionList[r] = r
-	}
 	dcfg := cfg.DDB
 	dcfg.ShardCount = 4
 	gt := kvstore.NewGlobal("dynamodb", net, ServiceRack, rng.Fork(), dcfg,
-		kvstore.DefaultGlobalConfig(), regionList, catalog, meter)
+		kvstore.DefaultGlobalConfig(), []int{0, 1}, catalog, meter)
 	defer gt.Close()
 
-	pfs := make([]*faas.Platform, regions)
+	pfs := make([]*faas.Platform, rfRegions)
 	for r := range pfs {
 		prev := net.SetBuildRegion(r)
 		pfs[r] = faas.New(fmt.Sprintf("lambda-r%d", r), net, rng.Fork(), cfg.Lambda, catalog, meter)
@@ -144,26 +128,11 @@ func runRegionFailover(seed uint64, regions int, withChaos bool, scale float64) 
 	}
 
 	sc := statecache.DefaultConfig()
-	sc.SketchStaleness = sketchStats()
-	sc.Reconcile = reconGossip()
+	sc.SketchStaleness = o.Sketch
+	sc.Reconcile = o.Recon
 	cl := statecache.New("cache", net, gt.Primary(), rng.Fork(), sc, catalog, meter)
 	for _, pf := range pfs {
 		pf.AttachStateCache(cl)
-	}
-
-	var res rfResult
-	for i := range res.phases {
-		res.phases[i].rec = newSummary("rf-" + rfPhases[i])
-	}
-	phaseOf := func(now sim.Time) int {
-		switch {
-		case now < sim.Time(partAt):
-			return 0
-		case now < sim.Time(partAt+partDur):
-			return 1
-		default:
-			return 2
-		}
 	}
 
 	value := make([]byte, rfValueBytes)
@@ -219,8 +188,8 @@ func runRegionFailover(seed uint64, regions int, withChaos bool, scale float64) 
 
 	eng := chaos.New(k, rng.Fork())
 	if withChaos {
-		eng.PartitionAt(net, 0, 1, partAt, partDur)
-		eng.CrashStormAt(pfs[1], 1<<20, partAt) // the whole secondary fleet
+		eng.PartitionAt(net, 0, 1, res.at, res.dur)
+		eng.CrashStormAt(pfs[1], 1<<20, res.at) // the whole secondary fleet
 	}
 
 	for r := range pfs {
@@ -231,15 +200,15 @@ func runRegionFailover(seed uint64, regions int, withChaos bool, scale float64) 
 			h := rfHash(region, seq)
 			keyIdx := int(h>>32) % rfKeys
 			payload := []byte{byte(h % 100), byte(keyIdx >> 8), byte(keyIdx)}
-			phase := phaseOf(p.Now())
+			ph := res.of(p.Now())
 			start := p.Now()
 			_, _, err := pf.Invoke(p, "serve", payload)
 			switch {
 			case err == nil:
-				res.phases[phase].rec.Add(time.Duration(p.Now() - start))
-				res.phases[phase].served++
+				ph.rec.Add(time.Duration(p.Now() - start))
+				ph.served++
 			case errors.Is(err, errRegionUnavailable):
-				res.phases[phase].failed++
+				ph.failed++
 			default:
 				panic(err)
 			}
@@ -251,14 +220,14 @@ func runRegionFailover(seed uint64, regions int, withChaos bool, scale float64) 
 	// is the delta it actually incurred.
 	k.Spawn("rf-phase-accountant", func(p *sim.Proc) {
 		last := pricing.USD(0)
-		for i, b := range []time.Duration{partAt, partAt + partDur, window} {
+		for i, b := range []time.Duration{res.at, res.at + res.dur, window} {
 			p.Sleep(b - time.Duration(p.Now()))
 			for _, pf := range pfs {
 				pf.AccrueProvisioned(p.Now())
 			}
 			cl.Accrue(p.Now())
 			total := meter.Total()
-			res.phases[i].cost = total - last
+			res.cost[i] = total - last
 			last = total
 		}
 	})
@@ -267,24 +236,13 @@ func runRegionFailover(seed uint64, regions int, withChaos bool, scale float64) 
 	// a healed window of the same length again.
 	k.RunUntil(sim.Time(2 * window))
 
-	for a := 0; a < regions; a++ {
-		for b := a + 1; b < regions; b++ {
-			res.egress += net.WANBytes(a, b)
-		}
-	}
+	res.egress = net.WANBytes(0, 1)
 	res.aborted = cl.AbortedRounds()
 	res.rounds = cl.GossipRounds()
 	res.replLost = gt.LostBatches()
 	res.replDone = gt.Replicated()
 	res.flushed = cl.FlushWrites()
-	if withChaos {
-		for _, ev := range eng.Events() {
-			var n int
-			if _, err := fmt.Sscanf(ev.What, "crash storm: %d VMs", &n); err == nil {
-				res.crashedVM += n
-			}
-		}
-	}
+	res.crashedVM = eng.CrashedVMs()
 	return res
 }
 
@@ -348,67 +306,37 @@ func runStragglerRescue(seed uint64, spares int) stragglerResult {
 	return out
 }
 
-// rfVariants lists the sweep points: the healthy control first, then the
-// chaos run (skipped under -chaos=false).
-func rfVariants() []bool {
-	if chaosEnabled() {
-		return []bool{false, true}
-	}
-	return []bool{false}
-}
-
 // runRegionFailoverTables builds both tables at the given scale (1 for the
 // real experiment; tests shrink it).
-func runRegionFailoverTables(seed uint64, scale float64) []*Table {
-	regions := configuredRegions(2)
+func runRegionFailoverTables(o Options, scale float64) []*Table {
 	window := time.Duration(float64(rfWindow) * scale)
 	phaseDur := window / 3
 
 	t := &Table{
-		Title: fmt.Sprintf("Region failover: %d regions, %.0f req/s each, trunk severed + crash storm for the middle third", regions, rfRate),
+		Title: fmt.Sprintf("Region failover: %d regions, %.0f req/s each, trunk severed + crash storm for the middle third", rfRegions, rfRate),
 		Header: []string{"Variant", "Phase", "Done req/s", "p50", "p99", "p99.9",
 			"Avail", "$/hr"},
 	}
-	variants := rfVariants()
-	// Each (variant) is an independent simulation keyed by (seed, variant);
-	// the sweep engine fans them out and commits rows in point order.
-	results := sweep.Map(variants, func(_ int, withChaos bool) rfResult {
-		return runRegionFailover(seed, regions, withChaos, scale)
+	// The healthy control and the chaos run are independent simulations
+	// keyed by (seed, variant); the sweep engine fans them out and commits
+	// rows in point order.
+	results := sweep.Map(o.Workers, []bool{false, true}, func(_ int, withChaos bool) rfResult {
+		return runRegionFailover(o, withChaos, scale)
 	})
-	for vi, withChaos := range variants {
-		label := "control"
-		if withChaos {
-			label = "chaos"
-		}
-		r := results[vi]
-		for i := range r.phases {
-			ph := &r.phases[i]
-			total := ph.served + ph.failed
-			avail := 100.0
-			if total > 0 {
-				avail = 100 * float64(ph.served) / float64(total)
-			}
-			t.AddRow(
-				label,
-				rfPhases[i],
-				fmt.Sprintf("%.0f", float64(ph.served)/phaseDur.Seconds()),
-				FmtDur(ph.rec.Percentile(50)),
-				FmtDur(ph.rec.Percentile(99)),
-				FmtDur(ph.rec.Percentile(99.9)),
-				fmt.Sprintf("%.2f%%", avail),
-				fmt.Sprintf("$%.2f/hr", float64(ph.cost)/phaseDur.Hours()),
-			)
+	for vi, label := range []string{"control", "chaos"} {
+		r := &results[vi]
+		for i := range r.p {
+			row := append([]string{label, phaseNames[i]}, r.p[i].cells(phaseDur, 50, 99, 99.9)...)
+			t.AddRow(append(row, fmt.Sprintf("$%.2f/hr", float64(r.cost[i])/phaseDur.Hours()))...)
 		}
 	}
-	if len(results) > 1 {
-		c := results[1]
-		t.AddNote("chaos: trunk 0-1 severed at %s for %s; all %d secondary-region VMs crash-reclaimed at the same instant",
-			FmtDur(phaseDur), FmtDur(phaseDur), c.crashedVM)
-		t.AddNote("chaos run: %d/%d gossip rounds aborted, %d replication batches severed (all writes re-queued),",
-			c.aborted, c.aborted+c.rounds, c.replLost)
-		t.AddNote("%d writes replicated cross-region, %d cache flushes, %s total inter-region egress",
-			c.replDone, c.flushed, FmtBytes(c.egress))
-	}
+	c := &results[1]
+	t.AddNote("chaos: trunk 0-1 severed at %s for %s; all %d secondary-region VMs crash-reclaimed at the same instant",
+		FmtDur(phaseDur), FmtDur(phaseDur), c.crashedVM)
+	t.AddNote("chaos run: %d/%d gossip rounds aborted, %d replication batches severed (all writes re-queued),",
+		c.aborted, c.aborted+c.rounds, c.replLost)
+	t.AddNote("%d writes replicated cross-region, %d cache flushes, %s total inter-region egress",
+		c.replDone, c.flushed, FmtBytes(c.egress))
 	t.AddNote("op mix per request: 40%% cache reads, 15%% cache counter writes, 20%% local eventual reads,")
 	t.AddNote("15%% consistent reads pinned to the primary region (fail fast when unreachable -> availability),")
 	t.AddNote("10%% global-table writes; autoscaler (min 2, max 32, 70%% util, 2s tick) rebuilds the crashed fleet")
@@ -418,8 +346,8 @@ func runRegionFailoverTables(seed uint64, scale float64) []*Table {
 		Header: []string{"Rescue", "Makespan", "Stragglers", "Re-dispatched", "Rescued"},
 	}
 	spares := []int{0, 2}
-	sres := sweep.Map(spares, func(_ int, s int) stragglerResult {
-		return runStragglerRescue(seed, s)
+	sres := sweep.Map(o.Workers, spares, func(_ int, s int) stragglerResult {
+		return runStragglerRescue(o.Seed, s)
 	})
 	for _, r := range sres {
 		label := "off"
@@ -447,6 +375,6 @@ func runRegionFailoverTables(seed uint64, scale float64) []*Table {
 // RunRegionFailover regenerates the multi-region failover tables: tail
 // latency, availability, and cost per phase around a WAN partition plus
 // crash storm, and the IBF straggler re-dispatch comparison.
-func RunRegionFailover(seed uint64) []*Table {
-	return runRegionFailoverTables(seed, 1)
+func RunRegionFailover(o Options) []*Table {
+	return runRegionFailoverTables(o, 1)
 }

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/sweep"
 )
 
 // TestRegionFailoverDeterminism is the chaos determinism suite: a chaotic
@@ -28,12 +26,10 @@ func TestRegionFailoverDeterminism(t *testing.T) {
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	slices.Sort(counts)
 	counts = slices.Compact(counts)
-	defer sweep.SetWorkers(0)
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		var want string
 		for i, w := range counts {
-			sweep.SetWorkers(w)
-			got := renderAll(runRegionFailoverTables(seed, 0.2))
+			got := renderAll(runRegionFailoverTables(Options{Seed: seed, Workers: w}, 0.2))
 			if i == 0 {
 				want = got
 				continue
@@ -54,16 +50,13 @@ func TestRegionFailoverDeterminism(t *testing.T) {
 // availability (CP reads fail fast in the severed region) and the post
 // phase must recover to 100%.
 func TestRegionFailoverReportsAvailabilityHole(t *testing.T) {
-	res := runRegionFailover(1, 2, true, 0.2)
-	pre, during, post := &res.phases[0], &res.phases[1], &res.phases[2]
-	availOf := func(ph *rfPhase) float64 {
-		return float64(ph.served) / float64(ph.served+ph.failed)
-	}
+	res := runRegionFailover(Options{Seed: 1}, true, 0.2)
+	pre, during, post := &res.p[0], &res.p[1], &res.p[2]
 	if during.failed == 0 {
 		t.Fatalf("no requests failed during the partition")
 	}
-	if a := availOf(during); a > 0.99 || a < 0.80 {
-		t.Errorf("partition-phase availability = %.4f, want a visible but partial hole", a)
+	if a := during.avail(); a > 99 || a < 80 {
+		t.Errorf("partition-phase availability = %.2f%%, want a visible but partial hole", a)
 	}
 	if post.failed != 0 {
 		t.Errorf("post-heal phase still failing: %d", post.failed)
@@ -78,10 +71,10 @@ func TestRegionFailoverReportsAvailabilityHole(t *testing.T) {
 		t.Errorf("crash storm reclaimed no VMs")
 	}
 	// The control run must be fully available throughout.
-	ctl := runRegionFailover(1, 2, false, 0.2)
-	for i := range ctl.phases {
-		if ctl.phases[i].failed != 0 {
-			t.Errorf("control phase %s failed %d requests", rfPhases[i], ctl.phases[i].failed)
+	ctl := runRegionFailover(Options{Seed: 1}, false, 0.2)
+	for i := range ctl.p {
+		if ctl.p[i].failed != 0 {
+			t.Errorf("control phase %s failed %d requests", phaseNames[i], ctl.p[i].failed)
 		}
 	}
 }
@@ -91,6 +84,6 @@ func TestRegionFailoverReportsAvailabilityHole(t *testing.T) {
 // regenerates.
 func BenchmarkRegionFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runRegionFailoverTables(1, 1)
+		runRegionFailoverTables(Options{Seed: 1}, 1)
 	}
 }

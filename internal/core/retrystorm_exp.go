@@ -86,9 +86,6 @@ const (
 	rsMaxQueue = 6
 )
 
-// rsPhases labels the measurement phases around the fault.
-var rsPhases = [3]string{"pre", "during", "post"}
-
 // rsPolicy is one client-policy sweep point.
 type rsPolicy struct {
 	name    string
@@ -98,9 +95,9 @@ type rsPolicy struct {
 	shed    bool // server-side bounded-queue admission control
 }
 
-// rsPolicies returns the sweep points, honoring the -policy flag.
+// rsPolicies returns the sweep points.
 func rsPolicies() []rsPolicy {
-	all := []rsPolicy{
+	return []rsPolicy{
 		{name: "no-retry",
 			cfg: resilience.Config{Attempts: 1, Deadline: rsDeadline}},
 		{name: "naive-retry",
@@ -115,40 +112,13 @@ func rsPolicies() []rsPolicy {
 				HedgeAfter: rsHedgeAfter},
 			budget: true, breaker: true, shed: true},
 	}
-	want := configuredPolicy()
-	if want == "" || want == "all" {
-		return all
-	}
-	for _, p := range all {
-		if p.name == want {
-			return []rsPolicy{p}
-		}
-	}
-	return all
-}
-
-// PolicyNames lists the retrystorm policy variants the -policy flag
-// accepts (plus "all").
-func PolicyNames() []string {
-	names := make([]string, 0, 4)
-	for _, p := range rsPolicies() {
-		names = append(names, p.name)
-	}
-	return names
-}
-
-// rsPhaseM is one phase's measurements.
-type rsPhaseM struct {
-	rec    stats.Summary
-	served int
-	failed int
-	hotQ   int // peak hot-shard admission-queue depth observed
-	poolQ  int // peak client-pool backlog observed
 }
 
 // rsResult is one policy's full measurement.
 type rsResult struct {
-	phases  [3]rsPhaseM
+	phases
+	hotQ    [3]int           // peak hot-shard admission-queue depth per phase
+	poolQ   [3]int           // peak client-pool backlog per phase
 	cstats  resilience.Stats // client-side policy counters (shared sink)
 	gaveUp  int64            // arrivals that outwaited rsPatience
 	shed    int64            // server-side admission sheds (all shards)
@@ -177,13 +147,13 @@ func rsHotShard(ddb *kvstore.Store) (shard int, share float64) {
 
 // runRetryStorm measures one policy. scale shrinks the window (tests run
 // at scale < 1); the fault always covers the middle third.
-func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
+func runRetryStorm(o Options, pol rsPolicy, scale float64) rsResult {
 	window := time.Duration(float64(rsWindow) * scale)
-	faultAt, faultDur := window/3, window/3
+	res := rsResult{phases: o.newPhases("rs", window)}
 
 	k := sim.NewKernel()
 	defer k.Close()
-	rng := simrand.New(seed)
+	rng := simrand.New(o.Seed)
 	cfg := DefaultConfig()
 	net := netsim.NewNetwork(k, rng.Fork(), cfg.Latency)
 	catalog := pricing.Fall2018()
@@ -235,23 +205,8 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 		hosts[i] = net.NewNode(fmt.Sprintf("app-%d", i), i%ServiceRack, netsim.Gbps(10))
 	}
 
-	var res rsResult
-	for i := range res.phases {
-		res.phases[i].rec = newSummary("rs-" + rsPhases[i])
-	}
-	phaseOf := func(now sim.Time) int {
-		switch {
-		case now < sim.Time(faultAt):
-			return 0
-		case now < sim.Time(faultAt+faultDur):
-			return 1
-		default:
-			return 2
-		}
-	}
-
 	eng := chaos.New(k, rng.Fork())
-	eng.SlowFrontendAt(hotFE, rsSlowFactor, faultAt, faultDur)
+	eng.SlowFrontendAt(hotFE, rsSlowFactor, res.at, res.dur)
 
 	gen := loadgen.New(rng.Fork(), loadgen.Poisson{Rate: rsRate})
 	gen.Run(k, window, func(p *sim.Proc, seq int) {
@@ -263,7 +218,7 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 		ep := ddb.ShardFor(key)
 		host := hosts[seq%len(hosts)]
 		start := p.Now()
-		ph := &res.phases[phaseOf(start)]
+		ph := res.of(start)
 		pool.Acquire(p)
 		if time.Duration(p.Now()-start) > rsPatience {
 			// The caller hung up while this arrival sat in the pool
@@ -298,13 +253,9 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 	k.Spawn("rs-queue-observer", func(p *sim.Proc) {
 		for time.Duration(p.Now()) < window {
 			p.Sleep(50 * time.Millisecond)
-			ph := &res.phases[phaseOf(p.Now())]
-			if q := hotFE.QueueDepth(); q > ph.hotQ {
-				ph.hotQ = q
-			}
-			if q := pool.Waiting(); q > ph.poolQ {
-				ph.poolQ = q
-			}
+			i := res.index(p.Now())
+			res.hotQ[i] = max(res.hotQ[i], hotFE.QueueDepth())
+			res.poolQ[i] = max(res.poolQ[i], pool.Waiting())
 		}
 	})
 
@@ -347,12 +298,12 @@ const (
 // runHotTenant measures 12 polite closed-loop tenants sharing a
 // 4-slot table with one abusive tenant hammering from 32 connections,
 // with the per-caller rate-window jail off or on.
-func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
+func runHotTenant(o Options, jail bool, scale float64) rsJailResult {
 	window := time.Duration(float64(rsJailWindow) * scale)
 
 	k := sim.NewKernel()
 	defer k.Close()
-	rng := simrand.New(seed)
+	rng := simrand.New(o.Seed)
 	cfg := DefaultConfig()
 	net := netsim.NewNetwork(k, rng.Fork(), cfg.Latency)
 	catalog := pricing.Fall2018()
@@ -369,8 +320,8 @@ func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 	}
 
 	var res rsJailResult
-	res.polite.rec = newSummary("jail-polite")
-	res.abuser.rec = newSummary("jail-abuser")
+	res.polite.rec = o.newSummary("jail-polite")
+	res.abuser.rec = o.newSummary("jail-abuser")
 
 	run := func(name string, node *netsim.Node, crng *simrand.RNG,
 		think time.Duration, out *rsTenant) {
@@ -415,7 +366,7 @@ func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 
 // runRetryStormTables builds both tables at the given scale (1 for the
 // real experiment; tests shrink it).
-func runRetryStormTables(seed uint64, scale float64) []*Table {
+func runRetryStormTables(o Options, scale float64) []*Table {
 	window := time.Duration(float64(rsWindow) * scale)
 	phaseDur := window / 3
 
@@ -437,28 +388,14 @@ func runRetryStormTables(seed uint64, scale float64) []*Table {
 			"Avail", "HotQ", "PoolQ"},
 	}
 	pols := rsPolicies()
-	results := sweep.Map(pols, func(_ int, pol rsPolicy) rsResult {
-		return runRetryStorm(seed, pol, scale)
+	results := sweep.Map(o.Workers, pols, func(_ int, pol rsPolicy) rsResult {
+		return runRetryStorm(o, pol, scale)
 	})
 	for pi, pol := range pols {
-		r := results[pi]
-		for i := range r.phases {
-			ph := &r.phases[i]
-			total := ph.served + ph.failed
-			avail := 100.0
-			if total > 0 {
-				avail = 100 * float64(ph.served) / float64(total)
-			}
-			t.AddRow(
-				pol.name,
-				rsPhases[i],
-				fmt.Sprintf("%.0f", float64(ph.served)/phaseDur.Seconds()),
-				FmtDur(ph.rec.Percentile(50)),
-				FmtDur(ph.rec.Percentile(99)),
-				fmt.Sprintf("%.2f%%", avail),
-				fmt.Sprintf("%d", ph.hotQ),
-				fmt.Sprintf("%d", ph.poolQ),
-			)
+		r := &results[pi]
+		for i := range r.p {
+			row := append([]string{pol.name, phaseNames[i]}, r.p[i].cells(phaseDur, 50, 99)...)
+			t.AddRow(append(row, fmt.Sprintf("%d", r.hotQ[i]), fmt.Sprintf("%d", r.poolQ[i]))...)
 		}
 		c := r.cstats
 		t.AddNote("%s: %d calls, %d retries, %d timeouts, %d hedges, %d breaker fast-fails (%d trips), %d shed, %d budget-denied, %d gave up in pool",
@@ -479,8 +416,8 @@ func runRetryStormTables(seed uint64, scale float64) []*Table {
 			rsPoliteN, rsAbuserConns),
 		Header: []string{"Jail", "Tenant", "Done req/s", "p50", "p99", "Rejected"},
 	}
-	jres := sweep.Map([]bool{false, true}, func(_ int, jail bool) rsJailResult {
-		return runHotTenant(seed, jail, scale)
+	jres := sweep.Map(o.Workers, []bool{false, true}, func(_ int, jail bool) rsJailResult {
+		return runHotTenant(o, jail, scale)
 	})
 	jailWindow := time.Duration(float64(rsJailWindow) * scale)
 	for ji, jail := range []bool{false, true} {
@@ -511,6 +448,6 @@ func runRetryStormTables(seed uint64, scale float64) []*Table {
 // RunRetryStorm regenerates the resilience-fabric tables: availability and
 // tail latency per phase around a hot-shard slowdown under four retry
 // policies, and the hot-tenant admission-jail comparison.
-func RunRetryStorm(seed uint64) []*Table {
-	return runRetryStormTables(seed, 1)
+func RunRetryStorm(o Options) []*Table {
+	return runRetryStormTables(o, 1)
 }

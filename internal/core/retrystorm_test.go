@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/sweep"
 )
 
 // TestRetryStormDeterminism: a retry storm — deadline-abandoned attempts,
@@ -26,12 +24,10 @@ func TestRetryStormDeterminism(t *testing.T) {
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	slices.Sort(counts)
 	counts = slices.Compact(counts)
-	defer sweep.SetWorkers(0)
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		var want string
 		for i, w := range counts {
-			sweep.SetWorkers(w)
-			got := renderAll(runRetryStormTables(seed, 0.2))
+			got := renderAll(runRetryStormTables(Options{Seed: seed, Workers: w}, 0.2))
 			if i == 0 {
 				want = got
 				continue
@@ -60,49 +56,45 @@ func TestRetryStormShowsMetastableCollapse(t *testing.T) {
 	pols := rsPolicies()
 	byName := map[string]rsResult{}
 	for _, pol := range pols {
-		byName[pol.name] = runRetryStorm(1, pol, 1)
-	}
-	avail := func(r rsResult, phase int) float64 {
-		ph := r.phases[phase]
-		return float64(ph.served) / float64(ph.served+ph.failed)
+		byName[pol.name] = runRetryStorm(Options{Seed: 1}, pol, 1)
 	}
 	nr, nv, full := byName["no-retry"], byName["naive-retry"], byName["full-policy"]
 
 	// Healthy phase: everyone serves everything.
 	for name, r := range byName {
-		if a := avail(r, 0); a < 0.999 {
-			t.Errorf("%s pre-fault availability = %.4f, want ~1", name, a)
+		if a := r.p[0].avail(); a < 99.9 {
+			t.Errorf("%s pre-fault availability = %.2f%%, want ~100%%", name, a)
 		}
 	}
 	// Naive retries amplify the outage: strictly worse during AND after.
-	if avail(nv, 1) >= avail(nr, 1) {
-		t.Errorf("naive during-fault availability %.4f not worse than no-retry %.4f",
-			avail(nv, 1), avail(nr, 1))
+	if nv.p[1].avail() >= nr.p[1].avail() {
+		t.Errorf("naive during-fault availability %.2f%% not worse than no-retry %.2f%%",
+			nv.p[1].avail(), nr.p[1].avail())
 	}
-	if avail(nv, 2) >= avail(nr, 2) {
-		t.Errorf("naive post-heal availability %.4f not worse than no-retry %.4f (no metastable overhang)",
-			avail(nv, 2), avail(nr, 2))
+	if nv.p[2].avail() >= nr.p[2].avail() {
+		t.Errorf("naive post-heal availability %.2f%% not worse than no-retry %.2f%% (no metastable overhang)",
+			nv.p[2].avail(), nr.p[2].avail())
 	}
 	// The collapse spreads beyond the hot shard: the client pool backlogs
 	// (cold traffic starves) and arrivals give up, which never happens
 	// without retries.
-	if nv.gaveUp == 0 || nv.phases[1].poolQ == 0 {
+	if nv.gaveUp == 0 || nv.poolQ[1] == 0 {
 		t.Errorf("naive retries did not exhaust the client pool (gaveUp %d, peak backlog %d)",
-			nv.gaveUp, nv.phases[1].poolQ)
+			nv.gaveUp, nv.poolQ[1])
 	}
 	if nr.gaveUp != 0 {
 		t.Errorf("no-retry saw %d pool give-ups; the collapse should need retries", nr.gaveUp)
 	}
 	// The full policy dominates no-retry on availability in every phase…
-	for phase := range rsPhases {
-		if avail(full, phase) < avail(nr, phase) {
-			t.Errorf("full-policy %s availability %.4f below no-retry %.4f",
-				rsPhases[phase], avail(full, phase), avail(nr, phase))
+	for i := range phaseNames {
+		if full.p[i].avail() < nr.p[i].avail() {
+			t.Errorf("full-policy %s availability %.2f%% below no-retry %.2f%%",
+				phaseNames[i], full.p[i].avail(), nr.p[i].avail())
 		}
 	}
 	// …and its post-heal tail returns to baseline while no-retry is still
 	// draining the backlog of abandoned attempts.
-	if fp, np := full.phases[2].rec.Percentile(99), nr.phases[2].rec.Percentile(99); fp >= np {
+	if fp, np := full.p[2].rec.Percentile(99), nr.p[2].rec.Percentile(99); fp >= np {
 		t.Errorf("full-policy post-heal p99 %v not below no-retry %v", fp, np)
 	}
 	// The policy machinery actually engaged: breaker trips, server sheds,
@@ -111,12 +103,12 @@ func TestRetryStormShowsMetastableCollapse(t *testing.T) {
 		t.Errorf("full policy idle: trips %d, shed %d, retries %d",
 			full.trips, full.shed, full.cstats.Retries)
 	}
-	if q := full.phases[1].hotQ; q > rsMaxQueue {
+	if q := full.hotQ[1]; q > rsMaxQueue {
 		t.Errorf("full-policy hot-shard queue peaked at %d, admission bound is %d", q, rsMaxQueue)
 	}
-	if nv.phases[2].hotQ <= nr.phases[2].hotQ/2 {
+	if nv.hotQ[2] <= nr.hotQ[2]/2 {
 		t.Errorf("naive post-heal backlog %d not deeper than no-retry's %d",
-			nv.phases[2].hotQ, nr.phases[2].hotQ)
+			nv.hotQ[2], nr.hotQ[2])
 	}
 }
 
@@ -127,8 +119,8 @@ func TestHotTenantJailProtectsPoliteTenants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hot-tenant runs in -short mode")
 	}
-	off := runHotTenant(1, false, 0.5)
-	on := runHotTenant(1, true, 0.5)
+	off := runHotTenant(Options{Seed: 1}, false, 0.5)
+	on := runHotTenant(Options{Seed: 1}, true, 0.5)
 	if off.abuser.rejected != 0 || off.jailed != 0 {
 		t.Fatalf("jail off still rejected: abuser %d, server %d", off.abuser.rejected, off.jailed)
 	}
@@ -151,6 +143,6 @@ func TestHotTenantJailProtectsPoliteTenants(t *testing.T) {
 // faasbench regenerates.
 func BenchmarkRetryStorm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runRetryStormTables(1, 1)
+		runRetryStormTables(Options{Seed: 1}, 1)
 	}
 }

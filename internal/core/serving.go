@@ -48,11 +48,11 @@ const servingBatches = 1000
 // (ZeroMQ-style) messaging. Latency is measured from the client initiating
 // the batch to the results being durable in the output channel, averaged
 // over 1,000 batches as in the paper.
-func RunServing(seed uint64) []*Table {
-	lambdaFetch := runServingLambda(seed, true)
-	lambdaOpt := runServingLambda(seed+1, false)
-	ec2SQS := runServingEC2SQS(seed + 2)
-	ec2ZMQ := runServingEC2ZMQ(seed + 3)
+func RunServing(o Options) []*Table {
+	lambdaFetch := runServingLambda(o, true)
+	lambdaOpt := runServingLambda(o.withSeed(o.Seed+1), false)
+	ec2SQS := runServingEC2SQS(o.withSeed(o.Seed + 2))
+	ec2ZMQ := runServingEC2ZMQ(o.withSeed(o.Seed + 3))
 
 	t := &Table{
 		Title:  "§3.1 Prediction serving: mean latency per 10-document batch (1,000 batches)",
@@ -72,13 +72,13 @@ func RunServing(seed uint64) []*Table {
 // runServingLambda measures the two Lambda variants. fetchModel selects the
 // unoptimized path: fetch the serialized model from S3 on every invocation
 // and write results back to S3 instead of SQS.
-func runServingLambda(seed uint64, fetchModel bool) time.Duration {
-	c := NewCloud(seed)
+func runServingLambda(o Options, fetchModel bool) time.Duration {
+	c := NewCloud(o.Seed)
 	defer c.Close()
 	client := c.ClientNode("client")
 	inQ := c.SQS.CreateQueue("serve-in", 2*time.Minute)
 	outQ := c.SQS.CreateQueue("serve-out", 2*time.Minute)
-	rec := newSummary("batch")
+	rec := o.newSummary("batch")
 	completion := make(map[int]*sim.Latch)
 	compiled := wordfilter.DefaultModel()
 
@@ -160,13 +160,13 @@ func runServingLambda(seed uint64, fetchModel bool) time.Duration {
 	return rec.Mean()
 }
 
-func runServingEC2SQS(seed uint64) time.Duration {
-	c := NewCloud(seed)
+func runServingEC2SQS(o Options) time.Duration {
+	c := NewCloud(o.Seed)
 	defer c.Close()
 	client := c.ClientNode("client")
 	inQ := c.SQS.CreateQueue("serve-in", 2*time.Minute)
 	outQ := c.SQS.CreateQueue("serve-out", 2*time.Minute)
-	rec := newSummary("batch")
+	rec := o.newSummary("batch")
 	completion := make(map[int]*sim.Latch)
 	model := wordfilter.DefaultModel()
 
@@ -227,10 +227,10 @@ func runServingEC2SQS(seed uint64) time.Duration {
 	return rec.Mean()
 }
 
-func runServingEC2ZMQ(seed uint64) time.Duration {
-	c := NewCloud(seed)
+func runServingEC2ZMQ(o Options) time.Duration {
+	c := NewCloud(o.Seed)
 	defer c.Close()
-	rec := newSummary("batch")
+	rec := o.newSummary("batch")
 	model := wordfilter.DefaultModel()
 
 	done := false
@@ -269,8 +269,8 @@ func runServingEC2ZMQ(seed uint64) time.Duration {
 // RunServingCost regenerates the §3.1 cost comparison at 1M messages/s:
 // the SQS request bill alone versus an EC2 fleet sized from measured
 // instance throughput.
-func RunServingCost(seed uint64) []*Table {
-	c := NewCloud(seed)
+func RunServingCost(o Options) []*Table {
+	c := NewCloud(o.Seed)
 	defer c.Close()
 
 	// Measure a single m5.large's sustainable throughput: workers share

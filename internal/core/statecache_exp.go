@@ -100,12 +100,12 @@ func uncachedAdd(p *sim.Proc, c *Cloud, ctx *faas.Ctx, replica, key string, delt
 // runStateCache measures one variant: workers concurrent stateful workers
 // (one per VM/replica), cached via gossip at the given interval when
 // cached is set, all against the same op mix and seed.
-func runStateCache(seed uint64, workers int, interval time.Duration, cached bool) stateCacheResult {
+func runStateCache(o Options, workers int, interval time.Duration, cached bool) stateCacheResult {
 	cfg := DefaultConfig()
 	// One container per VM so each worker invocation owns one colocated
 	// replica — the fluid-state deployment §4 sketches.
 	cfg.Lambda.ContainersPerVM = 1
-	c := NewCloudWith(seed, cfg)
+	c := NewCloudWith(o.Seed, cfg)
 	defer c.Close()
 
 	var cl *statecache.Cluster
@@ -113,19 +113,19 @@ func runStateCache(seed uint64, workers int, interval time.Duration, cached bool
 		sc := statecache.DefaultConfig()
 		sc.GossipInterval = interval
 		sc.FlushInterval = stateCacheFlushEvery
-		sc.SketchStaleness = sketchStats()
-		sc.Reconcile = reconGossip()
+		sc.SketchStaleness = o.Sketch
+		sc.Reconcile = o.Recon
 		cl = statecache.New("cache", c.Net, c.DDB, c.RNG.Fork(), sc, c.Catalog, c.Meter)
 		c.Lambda.AttachStateCache(cl)
 	}
 
-	rec := newSummary("statecache-read")
+	rec := o.newSummary("statecache-read")
 	ops := 0
 	end := sim.Time(stateCacheWindow)
 	handler := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 		p := ctx.Proc()
 		worker := int(payload[0])
-		rng := simrand.New(seed*1000 + uint64(worker) + 1)
+		rng := simrand.New(o.Seed*1000 + uint64(worker) + 1)
 		think := simrand.Exponential{Mean: stateCacheThink}
 		replica := fmt.Sprintf("w%d", worker)
 		for p.Now() < end {
@@ -219,7 +219,7 @@ func runStateCache(seed uint64, workers int, interval time.Duration, cached bool
 // identical stateful workloads against the DynamoDB-class store (the
 // paper's data-shipping baseline) and against VM-colocated CRDT replicas
 // converged by gossip, sweeping replica count and gossip interval.
-func RunStateCache(seed uint64) []*Table {
+func RunStateCache(o Options) []*Table {
 	t := &Table{
 		Title: "§4 fluid state: function-colocated CRDT cache vs storage round trips",
 		Header: []string{"Variant", "Replicas", "Gossip", "Ops/s", "Read p50",
@@ -241,8 +241,8 @@ func RunStateCache(seed uint64) []*Table {
 	// The replicas × gossip grid points are independent simulations keyed
 	// by (seed, point parameters); the sweep engine farms them across
 	// cores and commits results in point order.
-	results := sweep.Map(points, func(_ int, pt point) stateCacheResult {
-		return runStateCache(seed, pt.workers, pt.interval, pt.cached)
+	results := sweep.Map(o.Workers, points, func(_ int, pt point) stateCacheResult {
+		return runStateCache(o, pt.workers, pt.interval, pt.cached)
 	})
 	var uncachedP99, cachedP99 time.Duration
 	for i, pt := range points {

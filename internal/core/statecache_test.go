@@ -13,8 +13,8 @@ func TestStateCacheBeatsStorageRoundTrips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statecache scenario in -short mode")
 	}
-	uncached := runStateCache(1, 4, 0, false)
-	cached := runStateCache(1, 4, 200*time.Millisecond, true)
+	uncached := runStateCache(Options{Seed: 1}, 4, 0, false)
+	cached := runStateCache(Options{Seed: 1}, 4, 200*time.Millisecond, true)
 
 	if cached.p99 <= 0 || uncached.p99 <= 0 {
 		t.Fatalf("degenerate percentiles: cached %v, uncached %v", cached.p99, uncached.p99)
@@ -38,7 +38,7 @@ func TestStateCacheBeatsStorageRoundTrips(t *testing.T) {
 			cached.throughput, uncached.throughput)
 	}
 
-	if again := runStateCache(1, 4, 200*time.Millisecond, true); again != cached {
+	if again := runStateCache(Options{Seed: 1}, 4, 200*time.Millisecond, true); again != cached {
 		t.Errorf("statecache scenario is nondeterministic: %+v vs %+v", again, cached)
 	}
 }
@@ -49,8 +49,8 @@ func TestStateCacheStalenessTracksGossipInterval(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statecache sweep in -short mode")
 	}
-	fast := runStateCache(1, 4, 50*time.Millisecond, true)
-	slow := runStateCache(1, 4, time.Second, true)
+	fast := runStateCache(Options{Seed: 1}, 4, 50*time.Millisecond, true)
+	slow := runStateCache(Options{Seed: 1}, 4, time.Second, true)
 	if fast.staleP99 >= slow.staleP99 {
 		t.Errorf("staleness p99 %v at 50ms gossip not below %v at 1s",
 			fast.staleP99, slow.staleP99)

@@ -37,8 +37,8 @@ func stateCacheGrid() []struct {
 // runStateCacheGrid sweeps the 3×3 grid at the given worker count.
 func runStateCacheGrid(workers int) []stateCacheResult {
 	grid := stateCacheGrid()
-	return sweep.PointsN(workers, len(grid), func(i int) stateCacheResult {
-		return runStateCache(simrand.Derive(1, i), grid[i].workers, grid[i].interval, true)
+	return sweep.Points(workers, len(grid), func(i int) stateCacheResult {
+		return runStateCache(Options{Seed: simrand.Derive(1, i)}, grid[i].workers, grid[i].interval, true)
 	})
 }
 
@@ -74,7 +74,7 @@ func BenchmarkSweepStateCacheSequential(b *testing.B) {
 // Compare ns/op against the sequential twin for the sweep engine's
 // wall-clock speedup; results are byte-identical either way.
 func BenchmarkSweepStateCacheParallel(b *testing.B) {
-	w := sweep.Workers()
+	w := sweep.Workers(0)
 	for i := 0; i < b.N; i++ {
 		if res := runStateCacheGrid(w); len(res) != 9 {
 			b.Fatal("incomplete grid")

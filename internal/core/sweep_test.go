@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-
-	"repro/internal/sweep"
 )
 
 // sweepFamilies is one sweep-bearing experiment per family migrated onto
@@ -52,7 +50,6 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 		families = slices.DeleteFunc(slices.Clone(families),
 			func(id string) bool { return id == "election" })
 	}
-	defer sweep.SetWorkers(0)
 	for _, id := range families {
 		e, ok := ExperimentByID(id)
 		if !ok {
@@ -60,8 +57,7 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 		}
 		var want string
 		for i, w := range counts {
-			sweep.SetWorkers(w)
-			got := renderAll(e.Run(1))
+			got := renderAll(e.Run(Options{Seed: 1, Workers: w}))
 			if i == 0 {
 				want = got
 				continue

@@ -114,9 +114,9 @@ func FmtRatio(r float64) string {
 type Experiment struct {
 	ID    string // e.g. "table1"
 	Title string
-	// Run executes the experiment deterministically for the given seed
+	// Run executes the experiment deterministically for the given options
 	// and returns its tables.
-	Run func(seed uint64) []*Table
+	Run func(Options) []*Table
 }
 
 // Experiments returns the full registry in presentation order.

@@ -26,16 +26,16 @@ func runKernelUntil(k *sim.Kernel, horizon, step sim.Time, cond func() bool) boo
 // six different ways, plus the compared-to-best ratio row. Trial counts
 // match the paper: 1,000 invocations, 5,000 storage I/O pairs, 10,000
 // network round trips.
-func RunTable1(seed uint64) []*Table {
-	c := NewCloud(seed)
+func RunTable1(o Options) []*Table {
+	c := NewCloud(o.Seed)
 	defer c.Close()
 
-	recInvoke := newSummary("invoke")
-	recLambdaS3 := newSummary("lambda-s3")
-	recLambdaDDB := newSummary("lambda-ddb")
-	recEC2S3 := newSummary("ec2-s3")
-	recEC2DDB := newSummary("ec2-ddb")
-	recZMQ := newSummary("ec2-zmq")
+	recInvoke := o.newSummary("invoke")
+	recLambdaS3 := o.newSummary("lambda-s3")
+	recLambdaDDB := o.newSummary("lambda-ddb")
+	recEC2S3 := o.newSummary("ec2-s3")
+	recEC2DDB := o.newSummary("ec2-ddb")
+	recZMQ := o.newSummary("ec2-zmq")
 
 	payload := make([]byte, 1024)
 

@@ -73,11 +73,11 @@ type trainingResult struct {
 // epochs over a 90GB corpus in 100MB batches, once on Lambda (640MB
 // functions chained through the 15-minute lifetime, batches fetched from
 // S3) and once on an m4.large with EBS-resident data.
-func RunTraining(seed uint64) []*Table {
+func RunTraining(o Options) []*Table {
 	totalIters := TrainingEpochs * int(TrainingCorpusBytes/TrainingBatchBytes) // 9,000
 
-	lambda := runLambdaTraining(seed, totalIters)
-	ec2 := runEC2Training(seed, totalIters)
+	lambda := runLambdaTraining(o, totalIters)
+	ec2 := runEC2Training(o, totalIters)
 
 	t := &Table{
 		Title: "§3.1 Model training: Lambda (640MB, data in S3) vs EC2 m4.large (data on EBS)",
@@ -101,14 +101,14 @@ func RunTraining(seed uint64) []*Table {
 	return []*Table{t}
 }
 
-func runLambdaTraining(seed uint64, totalIters int) trainingResult {
-	c := NewCloud(seed)
+func runLambdaTraining(o Options, totalIters int) trainingResult {
+	c := NewCloud(o.Seed)
 	defer c.Close()
 
-	fetch := newSummary("fetch")
-	optim := newSummary("optimize")
-	iters := newSummary("iter")
-	pt := newProxyTrainer(seed)
+	fetch := o.newSummary("fetch")
+	optim := o.newSummary("optimize")
+	iters := o.newSummary("iter")
+	pt := newProxyTrainer(o.Seed)
 	res := trainingResult{lossBefore: pt.holdoutLoss()}
 
 	// Stage the corpus (bypasses the meter: staging is not part of the
@@ -187,14 +187,14 @@ func runLambdaTraining(seed uint64, totalIters int) trainingResult {
 	return res
 }
 
-func runEC2Training(seed uint64, totalIters int) trainingResult {
-	c := NewCloud(seed)
+func runEC2Training(o Options, totalIters int) trainingResult {
+	c := NewCloud(o.Seed)
 	defer c.Close()
 
-	fetch := newSummary("fetch")
-	optim := newSummary("optimize")
-	iters := newSummary("iter")
-	pt := newProxyTrainer(seed)
+	fetch := o.newSummary("fetch")
+	optim := o.newSummary("optimize")
+	iters := o.newSummary("iter")
+	pt := newProxyTrainer(o.Seed)
 	res := trainingResult{lossBefore: pt.holdoutLoss(), executions: 1}
 
 	done := false

@@ -43,16 +43,16 @@ func signupSteps() []workflow.Step {
 // Autodesk case study reports ten-minute end-to-end signups and attributes
 // part of that to "the overheads of Lambda task handling and state
 // management"; this experiment isolates exactly that infrastructure share.
-func RunWorkflow(seed uint64) []*Table {
+func RunWorkflow(o Options) []*Table {
 	const requests = 20
 
 	// FaaS pipeline.
-	c := NewCloud(seed)
+	c := NewCloud(o.Seed)
 	pl := workflow.New("signup", c.Lambda, c.SQS, c.S3, signupSteps())
 	if err := pl.Deploy(c.K); err != nil {
 		panic(err)
 	}
-	rec := newSummary("pipeline")
+	rec := o.newSummary("pipeline")
 	client := c.ClientNode("client")
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
@@ -75,8 +75,8 @@ func RunWorkflow(seed uint64) []*Table {
 
 	// Monolith baseline: the same eight steps in one process with local
 	// state on the instance volume.
-	c2 := NewCloud(seed + 1)
-	mono := newSummary("monolith")
+	c2 := NewCloud(o.Seed + 1)
+	mono := o.newSummary("monolith")
 	done2 := false
 	c2.K.Spawn("driver", func(p *sim.Proc) {
 		inst := c2.EC2.Launch(p, compute.M5Large, ClientRack)

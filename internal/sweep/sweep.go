@@ -24,9 +24,9 @@
 //     reports which configuration blew up instead of crashing the process
 //     from an anonymous goroutine.
 //
-// The worker count defaults to GOMAXPROCS and can be overridden per
-// process with SetWorkers (the faasbench -workers flag) or the
-// SWEEP_WORKERS environment variable.
+// Callers pass the worker count explicitly (the faasbench -workers flag
+// arrives as core.Options.Workers); 0 means the SWEEP_WORKERS environment
+// variable if set, else GOMAXPROCS.
 package sweep
 
 import (
@@ -37,9 +37,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// override is the SetWorkers value; 0 means "not set".
-var override atomic.Int64
 
 // envWorkers parses SWEEP_WORKERS once; 0 means unset/invalid.
 var envWorkers = sync.OnceValue(func() int {
@@ -54,25 +51,16 @@ var envWorkers = sync.OnceValue(func() int {
 	return n
 })
 
-// Workers reports the worker count sweeps run at: the SetWorkers override
-// if set, else SWEEP_WORKERS from the environment, else GOMAXPROCS.
-func Workers() int {
-	if n := int(override.Load()); n > 0 {
+// Workers resolves a requested worker count: n if positive, else
+// SWEEP_WORKERS from the environment, else GOMAXPROCS.
+func Workers(n int) int {
+	if n > 0 {
 		return n
 	}
 	if n := envWorkers(); n > 0 {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// SetWorkers overrides the process-wide worker count; n <= 0 restores the
-// environment/GOMAXPROCS default.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	override.Store(int64(n))
 }
 
 // PointError is a panic captured inside a sweep point, re-raised on the
@@ -96,29 +84,21 @@ func (e *PointError) Unwrap() error {
 	return nil
 }
 
-// Points runs fn for every point index in [0, n) on up to Workers()
-// concurrent workers and returns the results in point-index order.
-func Points[T any](n int, fn func(point int) T) []T {
-	return PointsN(Workers(), n, fn)
-}
-
 // Map runs fn over every item of a sweep's configuration slice on up to
-// Workers() concurrent workers, returning results in item order. fn
+// Workers(workers) concurrent workers, returning results in item order. fn
 // receives the item's index alongside the item for seed derivation.
-func Map[S, T any](items []S, fn func(point int, item S) T) []T {
-	return PointsN(Workers(), len(items), func(i int) T { return fn(i, items[i]) })
+func Map[S, T any](workers int, items []S, fn func(point int, item S) T) []T {
+	return Points(workers, len(items), func(i int) T { return fn(i, items[i]) })
 }
 
-// PointsN is Points at an explicit worker count (used by the determinism
-// regression tests and the sequential benchmark twins).
-func PointsN[T any](workers, n int, fn func(point int) T) []T {
+// Points runs fn for every point index in [0, n) on up to Workers(workers)
+// concurrent workers and returns the results in point-index order.
+func Points[T any](workers, n int, fn func(point int) T) []T {
 	out := make([]T, n)
 	if n == 0 {
 		return out
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = Workers(workers)
 	if workers > n {
 		workers = n
 	}

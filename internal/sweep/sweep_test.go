@@ -14,7 +14,7 @@ import (
 // worker count, regardless of completion order.
 func TestPointsOrderedResults(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 8, 64} {
-		got := PointsN(w, 17, func(i int) int { return i * i })
+		got := Points(w, 17, func(i int) int { return i * i })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("w=%d: point %d = %d, want %d", w, i, v, i*i)
@@ -28,7 +28,7 @@ func TestPointsOrderedResults(t *testing.T) {
 // goldens lean on.
 func TestPointsWorkerCountInvariance(t *testing.T) {
 	run := func(w int) []string {
-		return PointsN(w, 23, func(i int) string {
+		return Points(w, 23, func(i int) string {
 			return fmt.Sprintf("point-%02d:%d", i, i*2654435761)
 		})
 	}
@@ -49,7 +49,7 @@ func TestPointsBoundedConcurrency(t *testing.T) {
 	const workers = 4
 	var live, peak atomic.Int64
 	var mu sync.Mutex
-	PointsN(workers, 64, func(i int) int {
+	Points(workers, 64, func(i int) int {
 		n := live.Add(1)
 		mu.Lock()
 		if n > peak.Load() {
@@ -91,7 +91,7 @@ func TestPointsPanicContext(t *testing.T) {
 					t.Errorf("w=%d: Error() = %q, want point context", w, pe.Error())
 				}
 			}()
-			PointsN(w, 8, func(i int) int {
+			Points(w, 8, func(i int) int {
 				if i == 5 {
 					panic(boom)
 				}
@@ -107,7 +107,7 @@ func TestPointsSequentialStopsAtPanic(t *testing.T) {
 	var ran atomic.Int64
 	func() {
 		defer func() { recover() }()
-		PointsN(1, 8, func(i int) int {
+		Points(1, 8, func(i int) int {
 			ran.Add(1)
 			if i == 2 {
 				panic("stop")
@@ -123,7 +123,7 @@ func TestPointsSequentialStopsAtPanic(t *testing.T) {
 // TestMapPassesItemsAndIndices: Map hands each point its item and index.
 func TestMapPassesItemsAndIndices(t *testing.T) {
 	items := []string{"a", "b", "c"}
-	got := Map(items, func(i int, s string) string { return fmt.Sprintf("%d%s", i, s) })
+	got := Map(0, items, func(i int, s string) string { return fmt.Sprintf("%d%s", i, s) })
 	want := []string{"0a", "1b", "2c"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -134,27 +134,24 @@ func TestMapPassesItemsAndIndices(t *testing.T) {
 
 // TestPointsEdgeCases: empty sweeps and over-provisioned worker counts.
 func TestPointsEdgeCases(t *testing.T) {
-	if got := PointsN(4, 0, func(i int) int { return i }); len(got) != 0 {
+	if got := Points(4, 0, func(i int) int { return i }); len(got) != 0 {
 		t.Fatalf("empty sweep returned %v", got)
 	}
-	if got := PointsN(100, 2, func(i int) int { return i + 1 }); got[0] != 1 || got[1] != 2 {
+	if got := Points(100, 2, func(i int) int { return i + 1 }); got[0] != 1 || got[1] != 2 {
 		t.Fatalf("over-provisioned sweep returned %v", got)
 	}
-	if got := PointsN(0, 2, func(i int) int { return i }); got[1] != 1 {
+	if got := Points(0, 2, func(i int) int { return i }); got[1] != 1 {
 		t.Fatalf("w=0 sweep returned %v", got)
 	}
 }
 
-// TestWorkersOverride: SetWorkers takes precedence and 0 restores the
-// default resolution.
+// TestWorkersOverride: an explicit count takes precedence and 0 falls
+// back to the default resolution.
 func TestWorkersOverride(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", Workers())
+	if w := Workers(3); w != 3 {
+		t.Fatalf("Workers(3) = %d", w)
 	}
-	SetWorkers(0)
-	if w := Workers(); w < 1 {
-		t.Fatalf("default Workers() = %d, want >= 1", w)
+	if w := Workers(0); w < 1 {
+		t.Fatalf("default Workers(0) = %d, want >= 1", w)
 	}
 }
