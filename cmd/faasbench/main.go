@@ -15,8 +15,9 @@
 // concurrent simulator kernels (0 = the SWEEP_WORKERS environment
 // variable, else GOMAXPROCS). Output is byte-identical at any worker count
 // — each point derives its randomness from (seed, point) alone and results
-// merge in point order. Negative -workers or -users values are rejected
-// with exit status 2.
+// merge in point order. Negative -workers or -users values, like an
+// unknown -run id, are rejected with exit status 2; an experiment that
+// fails mid-run prints "faasbench: <id>: <cause>" and exits with status 1.
 //
 // -sketch swaps every experiment's exact latency recorder for a
 // fixed-memory quantile sketch (≤1% percentile error; mean, extremes, and
@@ -82,13 +83,30 @@ func main() {
 
 	for _, e := range exps {
 		start := time.Now()
-		tables := e.Run(opts)
+		tables, err := run(e, opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "faasbench: %v\n", err)
+			os.Exit(1)
+		}
 		elapsed := time.Since(start)
 		fmt.Printf("== %s  (id=%s, seed=%d, wall=%.1fs)\n\n", e.Title, e.ID, *seed, elapsed.Seconds())
 		for _, t := range tables {
 			fmt.Println(t.Render())
 		}
 	}
+}
+
+// run executes one experiment, turning a panic raised inside it into an
+// error naming the experiment. The panic value carries its own context: a
+// simulated process's panic names the process, and a sweep point's
+// (*sweep.PointError) names the point index.
+func run(e core.Experiment, opts core.Options) (tables []*core.Table, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%s: %v", e.ID, r)
+		}
+	}()
+	return e.Run(opts), nil
 }
 
 // usageError reports bad command-line input and exits with status 2.

@@ -13,8 +13,8 @@
 //
 //   - internal/core: cloud assembly, calibration constants, and one
 //     experiment per paper artifact (also see cmd/faasbench).
-//   - bench_test.go (this package): one testing.B benchmark per table and
-//     figure.
+//   - internal/core benchmarks: one testing.B benchmark per table and
+//     figure (go test -run '^$' -bench . ./internal/core).
 //   - examples/: runnable walkthroughs of the public API.
 //
 // See README.md for the architecture overview, DESIGN.md for the system

@@ -24,8 +24,7 @@ func measureInvoke(o Options, cfg Config, trials int, forceCold bool) time.Durat
 		panic(err)
 	}
 	rec := o.newSummary("invoke")
-	done := false
-	c.K.Spawn("driver", func(p *sim.Proc) {
+	drive(c.K, "ablation invokes", sim.Time(time.Hour), sim.Time(time.Minute), func(p *sim.Proc) {
 		payload := make([]byte, 1024)
 		for i := 0; i < trials; i++ {
 			start := p.Now()
@@ -37,13 +36,14 @@ func measureInvoke(o Options, cfg Config, trials int, forceCold bool) time.Durat
 				p.Sleep(time.Millisecond) // let the container expire
 			}
 		}
-		done = true
 	})
-	if !runKernelUntil(c.K, sim.Time(time.Hour), sim.Time(time.Minute),
-		func() bool { return done }) {
-		panic("ablation: invokes did not finish")
-	}
 	return rec.Mean()
+}
+
+// firecrackerResult is the four mean invoke latencies: warm/cold ×
+// classic/Firecracker cold start.
+type firecrackerResult struct {
+	warmClassic, warmFire, coldClassic, coldFire time.Duration
 }
 
 // RunFirecracker regenerates footnote 5's what-if: Firecracker's 125ms
@@ -52,10 +52,21 @@ func measureInvoke(o Options, cfg Config, trials int, forceCold bool) time.Durat
 // because Table 1's number is dominated by invocation overhead, not
 // sandbox startup.
 func RunFirecracker(o Options) []*Table {
+	r := runFirecracker(o)
 	t := &Table{
 		Title:  "Ablation (footnote 5): Firecracker 125ms microVM startup",
 		Header: []string{"Scenario", "Classic cold start", "Firecracker", "Change"},
 	}
+	t.AddRow("Warm invoke (Table 1 conditions)", FmtDur(r.warmClassic), FmtDur(r.warmFire),
+		FmtRatio(float64(r.warmClassic)/float64(r.warmFire)))
+	t.AddRow("Cold invoke (every call cold)", FmtDur(r.coldClassic), FmtDur(r.coldFire),
+		FmtRatio(float64(r.coldClassic)/float64(r.coldFire)))
+	t.AddNote("Table 1's 303ms is invocation-path overhead, not sandbox startup; Firecracker")
+	t.AddNote("narrows the cold path but remains orders of magnitude above network messaging (290µs)")
+	return []*Table{t}
+}
+
+func runFirecracker(o Options) firecrackerResult {
 	// The four measurement cells (warm/cold × classic/Firecracker) are
 	// independent repetitions keyed by their own seeds; each point builds
 	// its config locally so concurrent clouds share nothing.
@@ -77,12 +88,5 @@ func RunFirecracker(o Options) []*Table {
 		}
 		return measureInvoke(o.withSeed(pt.seed), cfg, pt.trials, pt.cold)
 	})
-	warmClassic, warmFire, coldClassic, coldFire := res[0], res[1], res[2], res[3]
-	t.AddRow("Warm invoke (Table 1 conditions)", FmtDur(warmClassic), FmtDur(warmFire),
-		FmtRatio(float64(warmClassic)/float64(warmFire)))
-	t.AddRow("Cold invoke (every call cold)", FmtDur(coldClassic), FmtDur(coldFire),
-		FmtRatio(float64(coldClassic)/float64(coldFire)))
-	t.AddNote("Table 1's 303ms is invocation-path overhead, not sandbox startup; Firecracker")
-	t.AddNote("narrows the cold path but remains orders of magnitude above network messaging (290µs)")
-	return []*Table{t}
+	return firecrackerResult{warmClassic: res[0], warmFire: res[1], coldClassic: res[2], coldFire: res[3]}
 }

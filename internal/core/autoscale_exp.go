@@ -25,34 +25,46 @@ import (
 // that autoscaling is worthless, but that it currently costs data gravity
 // and addressability.
 func RunAutoscale(o Options) []*Table {
-	const window = 2 * time.Minute
-	rates := []float64{10, 30, 50}
-
 	t := &Table{
 		Title:  "§1.2 Autoscaling under open-loop load (50ms CPU-bound requests)",
 		Header: []string{"Offered load", "Lambda p50", "Lambda p99", "Fixed EC2 p50", "Fixed EC2 p99"},
 	}
-	// The 3 rates × 2 platforms make six independent seed-repetition
-	// simulations; even-numbered points run the Lambda side, odd the EC2
-	// side, preserving the original per-point seeds exactly.
-	type quantiles struct{ p50, p99 time.Duration }
-	points := sweep.Points(o.Workers, 2*len(rates), func(i int) quantiles {
-		rate := rates[i/2]
-		if i%2 == 0 {
-			p50, p99 := autoscaleLambda(o.withSeed(o.Seed+uint64(i/2)), rate, window)
-			return quantiles{p50, p99}
-		}
-		p50, p99 := autoscaleEC2(o.withSeed(o.Seed+uint64(i/2)+100), rate, window)
-		return quantiles{p50, p99}
-	})
-	for i, rate := range rates {
-		l, e := points[2*i], points[2*i+1]
-		t.AddRow(fmt.Sprintf("%.0f req/s", rate),
-			FmtDur(l.p50), FmtDur(l.p99), FmtDur(e.p50), FmtDur(e.p99))
+	for _, r := range runAutoscale(o) {
+		t.AddRow(fmt.Sprintf("%.0f req/s", r.rate),
+			FmtDur(r.lambda.p50), FmtDur(r.lambda.p99), FmtDur(r.ec2.p50), FmtDur(r.ec2.p99))
 	}
 	t.AddNote("fixed fleet capacity is ~40 req/s (2 cores / 50ms); above it the queue diverges")
 	t.AddNote("Lambda's flat latency is the paper's 'step forward'; its height is the overhead E1 measures")
 	return []*Table{t}
+}
+
+// quantiles is one platform's completion-latency median and tail.
+type quantiles struct{ p50, p99 time.Duration }
+
+// autoscaleRow is one offered load's measurement on both platforms.
+type autoscaleRow struct {
+	rate        float64 // offered req/s
+	lambda, ec2 quantiles
+}
+
+func runAutoscale(o Options) []autoscaleRow {
+	const window = 2 * time.Minute
+	rates := []float64{10, 30, 50}
+	// The 3 rates × 2 platforms make six independent seed-repetition
+	// simulations; even-numbered points run the Lambda side, odd the EC2
+	// side, preserving the original per-point seeds exactly.
+	points := sweep.Points(o.Workers, 2*len(rates), func(i int) quantiles {
+		rate := rates[i/2]
+		if i%2 == 0 {
+			return autoscaleLambda(o.withSeed(o.Seed+uint64(i/2)), rate, window)
+		}
+		return autoscaleEC2(o.withSeed(o.Seed+uint64(i/2)+100), rate, window)
+	})
+	rows := make([]autoscaleRow, len(rates))
+	for i, rate := range rates {
+		rows[i] = autoscaleRow{rate: rate, lambda: points[2*i], ec2: points[2*i+1]}
+	}
+	return rows
 }
 
 // workBytes is 50ms of single-core work, expressed for each platform's
@@ -62,7 +74,7 @@ const (
 	ec2WorkBytes    = int64(0.05 * 1100e6)  // m5.large core
 )
 
-func autoscaleLambda(o Options, rate float64, window time.Duration) (p50, p99 time.Duration) {
+func autoscaleLambda(o Options, rate float64, window time.Duration) quantiles {
 	c := NewCloud(o.Seed)
 	defer c.Close()
 	if err := c.Lambda.Register(faas.Function{
@@ -89,10 +101,10 @@ func autoscaleLambda(o Options, rate float64, window time.Duration) (p50, p99 ti
 		func() bool { return completed == gen.Submitted && gen.Submitted > 0 }) {
 		panic("autoscale: lambda drain stalled")
 	}
-	return rec.Median(), rec.Percentile(99)
+	return quantiles{rec.Median(), rec.Percentile(99)}
 }
 
-func autoscaleEC2(o Options, rate float64, window time.Duration) (p50, p99 time.Duration) {
+func autoscaleEC2(o Options, rate float64, window time.Duration) quantiles {
 	c := NewCloud(o.Seed)
 	defer c.Close()
 	rec := o.newSummary("ec2")
@@ -143,5 +155,5 @@ func autoscaleEC2(o Options, rate float64, window time.Duration) (p50, p99 time.
 		func() bool { return submitted > 0 && completed == submitted }) {
 		panic("autoscale: ec2 drain stalled")
 	}
-	return rec.Median(), rec.Percentile(99)
+	return quantiles{rec.Median(), rec.Percentile(99)}
 }

@@ -32,10 +32,10 @@ func newBBCluster(c *Cloud, n int, params election.Params) *bbCluster {
 	return cl
 }
 
-// agreed returns the common leader among running nodes, or -1.
-func (cl *bbCluster) agreed() int {
+// commonLeader returns the leader every running node agrees on, or -1.
+func commonLeader(nodes []*election.Node) int {
 	leader := -1
-	for _, n := range cl.nodes {
+	for _, n := range nodes {
 		if n.Stopped() {
 			continue
 		}
@@ -68,22 +68,22 @@ func (cl *bbCluster) measureRounds(o Options, rounds int) stats.Summary {
 	rec := o.newSummary("round")
 	k := cl.c.K
 	if !runKernelUntil(k, k.Now()+sim.Time(5*time.Minute), sim.Time(250*time.Millisecond),
-		func() bool { return cl.agreed() > 0 }) {
+		func() bool { return commonLeader(cl.nodes) > 0 }) {
 		panic("election: initial agreement not reached")
 	}
 	for r := 0; r < rounds; r++ {
 		// Settle so heartbeats are steady before the crash.
 		runKernelUntil(k, k.Now()+sim.Time(20*time.Second), sim.Time(time.Second),
 			func() bool { return false })
-		leader := cl.agreed()
+		leader := commonLeader(cl.nodes)
 		if leader <= 0 {
 			panic("election: lost agreement between rounds")
 		}
 		cl.nodeByID(leader).Stop()
 		crashAt := k.Now()
 		if !runKernelUntil(k, crashAt+sim.Time(3*time.Minute), sim.Time(100*time.Millisecond),
-			func() bool { a := cl.agreed(); return a > 0 && a != leader }) {
-			panic("election: failover did not complete")
+			func() bool { a := commonLeader(cl.nodes); return a > 0 && a != leader }) {
+			panic("election: no new leader within 3min of the crash")
 		}
 		rec.Add(time.Duration(k.Now() - crashAt))
 	}
@@ -97,7 +97,7 @@ func steadyStateUnitsPerCycle(seed uint64, n int, window time.Duration) (readUni
 	defer c.Close()
 	cl := newBBCluster(c, n, election.PaperParams())
 	if !runKernelUntil(c.K, sim.Time(3*time.Minute), sim.Time(time.Second),
-		func() bool { return cl.agreed() == n }) {
+		func() bool { return commonLeader(cl.nodes) == n }) {
 		panic("election: cost cluster did not settle")
 	}
 	c.Meter.Reset()
@@ -108,12 +108,46 @@ func steadyStateUnitsPerCycle(seed uint64, n int, window time.Duration) (readUni
 	return readUnits, writeUnits
 }
 
+// electionResult is the election case study's measured figures: the
+// crash-to-agreement rounds, their share of a Lambda lifetime, the
+// read-unit scan law, and the hourly storage bills it implies.
+type electionResult struct {
+	rounds              stats.Summary
+	round               time.Duration // mean of rounds
+	sharePct            float64       // round as a percentage of the 15-minute lifetime
+	r10, r100           float64       // measured read units per node-cycle
+	hourly10, hourly100 float64       // on-demand $/hr at the measured sizes
+	hourly1000          float64       // on-demand $/hr extrapolated to 1,000 nodes
+	provisioned1000     float64       // provisioned-capacity $/hr at 1,000 nodes
+}
+
 // RunElection regenerates the §3.1 distributed-computing case study: bully
 // leader election with all communication through a DynamoDB blackboard at
 // 4 polls per second. It reports the election round latency (paper: 16.7s),
 // the share of a 15-minute Lambda lifetime that consumes (paper: 1.9%), and
 // the storage bill for a 1,000-node cluster (paper: at least $450/hr).
 func RunElection(o Options) []*Table {
+	r := runElection(o)
+	t := &Table{
+		Title:  "§3.1 Leader election over a DynamoDB blackboard (4 polls/s)",
+		Header: []string{"Metric", "Measured", "Paper"},
+	}
+	t.AddRow("Election round (crash -> all agree)", FmtDur(r.round), "16.7s")
+	t.AddRow("Share of 15-min lifetime in election", fmt.Sprintf("%.1f%%", r.sharePct), "1.9%")
+	t.AddRow("Storage cost, 1,000 nodes, steady state", fmt.Sprintf("$%.0f/hr", r.hourly1000), ">= $450/hr")
+	t.AddRow("Storage cost, 100 nodes (measured)", fmt.Sprintf("$%.2f/hr", r.hourly100), "-")
+	t.AddRow("Storage cost, 10 nodes (measured)", fmt.Sprintf("$%.2f/hr", r.hourly10), "-")
+	t.AddNote("rounds measured: %d (min %v, max %v)", r.rounds.Count(),
+		FmtDur(r.rounds.Min()), FmtDur(r.rounds.Max()))
+	t.AddNote("read units per node-cycle: %.1f at 10 nodes, %.1f at 100 nodes (board scan + coordinator read)",
+		r.r10, r.r100)
+	t.AddNote("1,000-node figure applies the measured linear scan law; ~500B records make one scan ~123 units")
+	t.AddNote("provisioned-capacity alternative (2018's default mode, planned to peak): $%.0f/hr —", r.provisioned1000)
+	t.AddNote("cheaper than on-demand but still far beyond the marginal cost of direct messaging")
+	return []*Table{t}
+}
+
+func runElection(o Options) electionResult {
 	// The latency cluster and the two cost clusters are independent
 	// simulations with their own seeds, so they sweep concurrently:
 	// point 0 crashes leaders on a 10-node cluster, points 1 and 2
@@ -141,16 +175,15 @@ func RunElection(o Options) []*Table {
 			return electionPoint{read: r, write: w}
 		}
 	})
-	rounds, catalog := pts[0].rounds, pts[0].catalog
-	round := rounds.Mean()
-	share := round.Seconds() / LambdaLifetime.Seconds() * 100
-	r10, w10 := pts[1].read, pts[1].write
-	r100, w100 := pts[2].read, pts[2].write
+	r := electionResult{rounds: pts[0].rounds, r10: pts[1].read, r100: pts[2].read}
+	r.round = r.rounds.Mean()
+	r.sharePct = r.round.Seconds() / LambdaLifetime.Seconds() * 100
+	w10, w100 := pts[1].write, pts[2].write
 	perCycleAt := func(n float64) float64 {
 		// One board scan of n records (measured slope) plus one
 		// coordinator read.
-		slope := (r100 - r10) / 90
-		return r10 + slope*(n-10)
+		slope := (r.r100 - r.r10) / 90
+		return r.r10 + slope*(n-10)
 	}
 	hourly := func(n float64) float64 {
 		cycles := n * 4 * 3600
@@ -158,25 +191,9 @@ func RunElection(o Options) []*Table {
 		writeCost := n * 3600 * ((w10 + w100) / 2) * 1.25 / 1e6
 		return readCost + writeCost
 	}
-
-	t := &Table{
-		Title:  "§3.1 Leader election over a DynamoDB blackboard (4 polls/s)",
-		Header: []string{"Metric", "Measured", "Paper"},
-	}
-	t.AddRow("Election round (crash -> all agree)", FmtDur(round), "16.7s")
-	t.AddRow("Share of 15-min lifetime in election", fmt.Sprintf("%.1f%%", share), "1.9%")
-	t.AddRow("Storage cost, 1,000 nodes, steady state", fmt.Sprintf("$%.0f/hr", hourly(1000)), ">= $450/hr")
-	t.AddRow("Storage cost, 100 nodes (measured)", fmt.Sprintf("$%.2f/hr", hourly(100)), "-")
-	t.AddRow("Storage cost, 10 nodes (measured)", fmt.Sprintf("$%.2f/hr", hourly(10)), "-")
-	t.AddNote("rounds measured: %d (min %v, max %v)", rounds.Count(),
-		FmtDur(rounds.Min()), FmtDur(rounds.Max()))
-	t.AddNote("read units per node-cycle: %.1f at 10 nodes, %.1f at 100 nodes (board scan + coordinator read)",
-		r10, r100)
-	t.AddNote("1,000-node figure applies the measured linear scan law; ~500B records make one scan ~123 units")
-	provisioned := catalog.DynamoProvisionedHourly(1000*4*perCycleAt(1000), 1000*((w10+w100)/2))
-	t.AddNote("provisioned-capacity alternative (2018's default mode, planned to peak): $%.0f/hr —", float64(provisioned))
-	t.AddNote("cheaper than on-demand but still far beyond the marginal cost of direct messaging")
-	return []*Table{t}
+	r.hourly10, r.hourly100, r.hourly1000 = hourly(10), hourly(100), hourly(1000)
+	r.provisioned1000 = float64(pts[0].catalog.DynamoProvisionedHourly(1000*4*perCycleAt(1000), 1000*((w10+w100)/2)))
+	return r
 }
 
 // RunElectionSweep is the sensitivity ablation: election round latency and
@@ -187,15 +204,28 @@ func RunElectionSweep(o Options) []*Table {
 		Title:  "Sensitivity: bully-on-blackboard vs polling rate (6 nodes, timeouts scaled)",
 		Header: []string{"Polling rate", "Round latency", "Read units/s per node", "Est. $/hr at 1,000 nodes"},
 	}
+	for _, r := range runElectionSweep(o) {
+		t.AddRow(fmt.Sprintf("%d Hz", r.hz), FmtDur(r.round),
+			fmt.Sprintf("%.1f", r.unitsPerSec), fmt.Sprintf("$%.0f", r.cost1000))
+	}
+	t.AddNote("with timeouts scaled to the polling period, round latency shrinks ~linearly with the rate")
+	t.AddNote("but the storage bill grows linearly too: convergence speed is bought with dollars, not design")
+	return []*Table{t}
+}
+
+// electionSweepRow is one polling rate's measurement.
+type electionSweepRow struct {
+	hz          int
+	round       time.Duration
+	unitsPerSec float64 // read units per second per node
+	cost1000    float64 // extrapolated $/hr at 1,000 nodes
+}
+
+func runElectionSweep(o Options) []electionSweepRow {
 	base := election.PaperParams()
 	// Each polling rate is an independent cluster seeded by (seed, hz);
 	// the sweep engine runs the four rates concurrently.
-	type sweepResult struct {
-		round       time.Duration
-		unitsPerSec float64
-	}
-	rates := []int{1, 2, 4, 8}
-	results := sweep.Map(o.Workers, rates, func(_ int, hz int) sweepResult {
+	return sweep.Map(o.Workers, []int{1, 2, 4, 8}, func(_ int, hz int) electionSweepRow {
 		poll := time.Second / time.Duration(hz)
 		scale := float64(poll) / float64(base.PollInterval)
 		params := election.Params{
@@ -213,18 +243,12 @@ func RunElectionSweep(o Options) []*Table {
 		// Steady-state read-unit rate at this polling frequency.
 		c.Meter.Reset()
 		c.K.RunUntil(c.K.Now() + sim.Time(30*time.Second))
-		return sweepResult{
+		return electionSweepRow{
+			hz:          hz,
 			round:       rec.Mean(),
 			unitsPerSec: float64(c.Meter.Count("dynamodb.read")) / 30 / 6,
+			// Extrapolate the 1,000-node scan (123 units) at this rate.
+			cost1000: 1000.0 * float64(hz) * 3600 * 124 * 0.25 / 1e6,
 		}
 	})
-	for i, hz := range rates {
-		// Extrapolate the 1,000-node scan (123 units) at this rate.
-		cost1000 := 1000.0 * float64(hz) * 3600 * 124 * 0.25 / 1e6
-		t.AddRow(fmt.Sprintf("%d Hz", hz), FmtDur(results[i].round),
-			fmt.Sprintf("%.1f", results[i].unitsPerSec), fmt.Sprintf("$%.0f", cost1000))
-	}
-	t.AddNote("with timeouts scaled to the polling period, round latency shrinks ~linearly with the rate")
-	t.AddNote("but the storage bill grows linearly too: convergence speed is bought with dollars, not design")
-	return []*Table{t}
 }

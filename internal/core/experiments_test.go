@@ -1,49 +1,10 @@
 package core
 
 import (
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
-
-// cell fetches a rendered table cell by row label prefix and column index.
-func cell(t *testing.T, tb *Table, rowPrefix string, col int) string {
-	t.Helper()
-	for _, row := range tb.Rows {
-		if strings.HasPrefix(row[0], rowPrefix) {
-			if col >= len(row) {
-				t.Fatalf("table %q row %q has no column %d", tb.Title, rowPrefix, col)
-			}
-			return row[col]
-		}
-	}
-	t.Fatalf("table %q has no row starting with %q; rows: %v", tb.Title, rowPrefix, tb.Rows)
-	return ""
-}
-
-var durRe = regexp.MustCompile(`([0-9.]+)(µs|ms|s|min)`)
-
-// parseDur parses the FmtDur format back into a duration.
-func parseDur(t *testing.T, s string) time.Duration {
-	t.Helper()
-	m := durRe.FindStringSubmatch(s)
-	if m == nil {
-		t.Fatalf("cannot parse duration %q", s)
-	}
-	v, _ := strconv.ParseFloat(m[1], 64)
-	switch m[2] {
-	case "µs":
-		return time.Duration(v * float64(time.Microsecond))
-	case "ms":
-		return time.Duration(v * float64(time.Millisecond))
-	case "s":
-		return time.Duration(v * float64(time.Second))
-	default:
-		return time.Duration(v * float64(time.Minute))
-	}
-}
 
 func within(t *testing.T, what string, got time.Duration, lo, hi time.Duration) {
 	t.Helper()
@@ -76,28 +37,20 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	tb := RunTable1(Options{Seed: 1})[0]
-	row := tb.Rows[0] // measured latencies
-	invoke := parseDur(t, row[1])
-	lambdaS3 := parseDur(t, row[2])
-	lambdaDDB := parseDur(t, row[3])
-	ec2S3 := parseDur(t, row[4])
-	ec2DDB := parseDur(t, row[5])
-	zmq := parseDur(t, row[6])
-
-	within(t, "invoke", invoke, 285*time.Millisecond, 320*time.Millisecond)      // paper: 303ms
-	within(t, "lambda-s3", lambdaS3, 100*time.Millisecond, 116*time.Millisecond) // paper: 108ms
-	within(t, "lambda-ddb", lambdaDDB, 10*time.Millisecond, 12*time.Millisecond) // paper: 11ms
-	within(t, "ec2-s3", ec2S3, 100*time.Millisecond, 116*time.Millisecond)       // paper: 106ms
-	within(t, "ec2-ddb", ec2DDB, 10*time.Millisecond, 12*time.Millisecond)       // paper: 11ms
-	within(t, "zmq", zmq, 270*time.Microsecond, 310*time.Microsecond)            // paper: 290µs
+	r := runTable1(Options{Seed: 1})
+	within(t, "invoke", r.invoke, 285*time.Millisecond, 320*time.Millisecond)      // paper: 303ms
+	within(t, "lambda-s3", r.lambdaS3, 100*time.Millisecond, 116*time.Millisecond) // paper: 108ms
+	within(t, "lambda-ddb", r.lambdaDDB, 10*time.Millisecond, 12*time.Millisecond) // paper: 11ms
+	within(t, "ec2-s3", r.ec2S3, 100*time.Millisecond, 116*time.Millisecond)       // paper: 106ms
+	within(t, "ec2-ddb", r.ec2DDB, 10*time.Millisecond, 12*time.Millisecond)       // paper: 11ms
+	within(t, "zmq", r.zmq, 270*time.Microsecond, 310*time.Microsecond)            // paper: 290µs
 
 	// The shape that matters: three orders of magnitude between pure
 	// functional messaging and direct networking.
-	if ratio := float64(invoke) / float64(zmq); ratio < 900 || ratio > 1200 {
+	if ratio := float64(r.invoke) / float64(r.zmq); ratio < 900 || ratio > 1200 {
 		t.Errorf("invoke/zmq ratio = %.0f, paper reports 1,045x", ratio)
 	}
-	if ratio := float64(lambdaS3) / float64(zmq); ratio < 300 || ratio > 450 {
+	if ratio := float64(r.lambdaS3) / float64(r.zmq); ratio < 300 || ratio > 450 {
 		t.Errorf("s3/zmq ratio = %.0f, paper reports 372x", ratio)
 	}
 }
@@ -114,23 +67,19 @@ func TestFigure1Headline(t *testing.T) {
 }
 
 func TestTrainingMatchesPaper(t *testing.T) {
-	tb := RunTraining(Options{Seed: 1})[0]
-	lambdaTotal := parseDur(t, cell(t, tb, "Lambda", 5))
-	ec2Total := parseDur(t, cell(t, tb, "EC2 m4.large", 5))
-	within(t, "lambda total", lambdaTotal, 440*time.Minute, 490*time.Minute) // paper: 465min
-	within(t, "ec2 total", ec2Total, 20*time.Minute, 24*time.Minute)         // paper: ~21.7min
+	lambda := runLambdaTraining(Options{Seed: 1})
+	ec2 := runEC2Training(Options{Seed: 1})
+	within(t, "lambda total", lambda.total, 440*time.Minute, 490*time.Minute) // paper: 465min
+	within(t, "ec2 total", ec2.total, 20*time.Minute, 24*time.Minute)         // paper: ~21.7min
 
-	slow := lambdaTotal.Seconds() / ec2Total.Seconds()
+	slow := lambda.total.Seconds() / ec2.total.Seconds()
 	if slow < 19 || slow > 24 {
 		t.Errorf("slowdown = %.1fx, paper reports 21x", slow)
 	}
-	execs := cell(t, tb, "Lambda", 4)
-	if n, _ := strconv.Atoi(execs); n < 30 || n > 33 {
-		t.Errorf("lambda executions = %s, paper reports 31", execs)
+	if n := lambda.executions; n < 30 || n > 33 {
+		t.Errorf("lambda executions = %d, paper reports 31", n)
 	}
-	// Costs parse from $x.xxxx strings.
-	lambdaCost, _ := strconv.ParseFloat(strings.TrimPrefix(cell(t, tb, "Lambda", 6), "$"), 64)
-	ec2Cost, _ := strconv.ParseFloat(strings.TrimPrefix(cell(t, tb, "EC2 m4.large", 6), "$"), 64)
+	lambdaCost, ec2Cost := float64(lambda.cost), float64(ec2.cost)
 	if lambdaCost < 0.27 || lambdaCost > 0.31 {
 		t.Errorf("lambda cost = $%.4f, paper reports $0.29", lambdaCost)
 	}
@@ -143,66 +92,51 @@ func TestTrainingMatchesPaper(t *testing.T) {
 }
 
 func TestServingMatchesPaper(t *testing.T) {
-	tb := RunServing(Options{Seed: 1})[0]
-	fetch := parseDur(t, cell(t, tb, "Lambda, model fetched", 1))
-	opt := parseDur(t, cell(t, tb, "Lambda, compiled-in", 1))
-	sqs := parseDur(t, cell(t, tb, "EC2 m5.large + SQS", 1))
-	zmq := parseDur(t, cell(t, tb, "EC2 m5.large + ZeroMQ", 1))
+	r := runServing(Options{Seed: 1})
+	within(t, "lambda-fetch", r.lambdaFetch, 525*time.Millisecond, 590*time.Millisecond) // paper: 559ms
+	within(t, "lambda-opt", r.lambdaOpt, 425*time.Millisecond, 470*time.Millisecond)     // paper: 447ms
+	within(t, "ec2-sqs", r.ec2SQS, 11*time.Millisecond, 15*time.Millisecond)             // paper: 13ms
+	within(t, "ec2-zmq", r.ec2ZMQ, 2500*time.Microsecond, 3300*time.Microsecond)         // paper: 2.8ms
 
-	within(t, "lambda-fetch", fetch, 525*time.Millisecond, 590*time.Millisecond) // paper: 559ms
-	within(t, "lambda-opt", opt, 425*time.Millisecond, 470*time.Millisecond)     // paper: 447ms
-	within(t, "ec2-sqs", sqs, 11*time.Millisecond, 15*time.Millisecond)          // paper: 13ms
-	within(t, "ec2-zmq", zmq, 2500*time.Microsecond, 3300*time.Microsecond)      // paper: 2.8ms
-
-	if fetch <= opt {
+	if r.lambdaFetch <= r.lambdaOpt {
 		t.Error("model fetch variant should be slower than compiled-in")
 	}
-	if ratio := float64(opt) / float64(zmq); ratio < 100 || ratio > 200 {
+	if ratio := float64(r.lambdaOpt) / float64(r.ec2ZMQ); ratio < 100 || ratio > 200 {
 		t.Errorf("opt/zmq = %.0fx, paper reports 127x", ratio)
 	}
 }
 
 func TestServingCostMatchesPaper(t *testing.T) {
-	tb := RunServingCost(Options{Seed: 1})[0]
-	sqsCost, _ := strconv.ParseFloat(strings.TrimPrefix(cell(t, tb, "SQS requests alone", 2), "$"), 64)
-	ec2Cost, _ := strconv.ParseFloat(strings.TrimPrefix(cell(t, tb, "EC2 m5.large fleet", 2), "$"), 64)
-	if sqsCost < 1500 || sqsCost > 1700 {
-		t.Errorf("SQS hourly = $%.0f, paper reports $1,584", sqsCost)
+	r := runServingCost(Options{Seed: 1})
+	if r.sqsHourly < 1500 || r.sqsHourly > 1700 {
+		t.Errorf("SQS hourly = $%.0f, paper reports $1,584", r.sqsHourly)
 	}
-	if ec2Cost < 26 || ec2Cost > 30 {
-		t.Errorf("EC2 hourly = $%.2f, paper reports $27.84", ec2Cost)
+	if r.ec2Hourly < 26 || r.ec2Hourly > 30 {
+		t.Errorf("EC2 hourly = $%.2f, paper reports $27.84", r.ec2Hourly)
 	}
-	if ratio := sqsCost / ec2Cost; ratio < 50 || ratio > 65 {
+	if ratio := r.sqsHourly / r.ec2Hourly; ratio < 50 || ratio > 65 {
 		t.Errorf("cost ratio = %.0fx, paper reports 57x", ratio)
 	}
 }
 
 func TestElectionMatchesPaper(t *testing.T) {
-	tb := RunElection(Options{Seed: 1})[0]
-	round := parseDur(t, cell(t, tb, "Election round", 1))
-	within(t, "round", round, 14*time.Second, 19*time.Second) // paper: 16.7s
-
-	share := cell(t, tb, "Share of 15-min lifetime", 1)
-	v, _ := strconv.ParseFloat(strings.TrimSuffix(share, "%"), 64)
-	if v < 1.5 || v > 2.2 {
-		t.Errorf("lifetime share = %s, paper reports 1.9%%", share)
+	r := runElection(Options{Seed: 1})
+	within(t, "round", r.round, 14*time.Second, 19*time.Second) // paper: 16.7s
+	if r.sharePct < 1.5 || r.sharePct > 2.2 {
+		t.Errorf("lifetime share = %.2f%%, paper reports 1.9%%", r.sharePct)
 	}
-	cost := cell(t, tb, "Storage cost, 1,000 nodes", 1)
-	cv, _ := strconv.ParseFloat(strings.TrimSuffix(strings.TrimPrefix(cost, "$"), "/hr"), 64)
-	if cv < 400 || cv > 520 {
-		t.Errorf("1,000-node cost = %s, paper reports >= $450/hr", cost)
+	if r.hourly1000 < 400 || r.hourly1000 > 520 {
+		t.Errorf("1,000-node cost = $%.2f/hr, paper reports >= $450/hr", r.hourly1000)
 	}
 }
 
 func TestBandwidthMatchesPaper(t *testing.T) {
-	tb := RunBandwidth(Options{Seed: 1})[0]
-	get := func(n string) float64 {
-		c := cell(t, tb, n, 1)
-		v, _ := strconv.ParseFloat(strings.Fields(c)[0], 64)
-		return v
+	r := runBandwidth(Options{Seed: 1})
+	first, last := r[0], r[len(r)-1]
+	if first.functions != 1 || last.functions != 20 {
+		t.Fatalf("sweep spans %d..%d functions, want 1..20", first.functions, last.functions)
 	}
-	solo := get("1")
-	packed := get("20")
+	solo, packed := first.mbps, last.mbps
 	if solo < 520 || solo > 545 {
 		t.Errorf("solo bandwidth = %.1f Mbps, paper reports 538", solo)
 	}
@@ -215,105 +149,108 @@ func TestBandwidthMatchesPaper(t *testing.T) {
 }
 
 func TestWorkflowOverheadShape(t *testing.T) {
-	tb := RunWorkflow(Options{Seed: 1})[0]
-	faasLat := parseDur(t, cell(t, tb, "FaaS pipeline", 1))
-	monoLat := parseDur(t, cell(t, tb, "Single EC2 process", 1))
-	if faasLat < 3*time.Second {
-		t.Errorf("FaaS 8-step pipeline = %v, implausibly fast", faasLat)
+	r := runWorkflow(Options{Seed: 1})
+	if r.pipeline < 3*time.Second {
+		t.Errorf("FaaS 8-step pipeline = %v, implausibly fast", r.pipeline)
 	}
-	if monoLat > 100*time.Millisecond {
-		t.Errorf("monolith = %v, implausibly slow", monoLat)
+	if r.monolith > 100*time.Millisecond {
+		t.Errorf("monolith = %v, implausibly slow", r.monolith)
 	}
-	if ratio := float64(faasLat) / float64(monoLat); ratio < 50 {
+	if ratio := float64(r.pipeline) / float64(r.monolith); ratio < 50 {
 		t.Errorf("pipeline/monolith = %.0fx, want >= 50x", ratio)
 	}
 }
 
 func TestFirecrackerAblation(t *testing.T) {
-	tb := RunFirecracker(Options{Seed: 1})[0]
-	warmClassic := parseDur(t, cell(t, tb, "Warm invoke", 1))
-	warmFire := parseDur(t, cell(t, tb, "Warm invoke", 2))
-	coldClassic := parseDur(t, cell(t, tb, "Cold invoke", 1))
-	coldFire := parseDur(t, cell(t, tb, "Cold invoke", 2))
+	r := runFirecracker(Options{Seed: 1})
 	// Warm path (Table 1 conditions) barely moves: "modest effects".
-	diff := float64(warmClassic-warmFire) / float64(warmClassic)
+	diff := float64(r.warmClassic-r.warmFire) / float64(r.warmClassic)
 	if diff < -0.05 || diff > 0.05 {
 		t.Errorf("warm path moved %.1f%% under Firecracker, want ~0", diff*100)
 	}
-	if coldFire >= coldClassic {
+	if r.coldFire >= r.coldClassic {
 		t.Error("Firecracker should cut cold starts")
 	}
-	if coldFire < 400*time.Millisecond {
-		t.Errorf("Firecracker cold invoke = %v; should still carry ~300ms invoke overhead", coldFire)
+	if r.coldFire < 400*time.Millisecond {
+		t.Errorf("Firecracker cold invoke = %v; should still carry ~300ms invoke overhead", r.coldFire)
 	}
 }
 
 func TestFastNICAblation(t *testing.T) {
-	tb := RunFastNIC(Options{Seed: 1})[0]
-	c := cell(t, tb, "64", 1)
-	v, _ := strconv.ParseFloat(strings.Fields(c)[0], 64)
-	perCoreMBps := v / 8
+	r := runFastNIC(Options{Seed: 1})
+	last := r[len(r)-1]
+	if last.functions != 64 {
+		t.Fatalf("sweep ends at %d functions, want 64", last.functions)
+	}
+	perCoreMBps := last.mbps / 8
 	if perCoreMBps < 170 || perCoreMBps > 220 {
 		t.Errorf("per-function bandwidth at 64-way = %.0f MB/s, paper predicts ~200", perCoreMBps)
 	}
-	if !strings.Contains(cell(t, tb, "64", 2), "slower") {
+	if perCoreMBps >= SSDBandwidthMBps {
 		t.Error("64-way packing should still trail an SSD")
 	}
 }
 
 func TestFutureClosesTheGaps(t *testing.T) {
-	tb := RunFuture(Options{Seed: 1})[0]
-	training := cell(t, tb, "Model training", 2)
-	train := parseDur(t, training)
+	r := runFuture(Options{Seed: 1})
 	// Near-EC2 speed: paper's EC2 run is ~21.7min.
-	within(t, "future training", train, 19*time.Minute, 25*time.Minute)
-	serve := parseDur(t, cell(t, tb, "Prediction serving", 2))
-	if serve > 5*time.Millisecond {
-		t.Errorf("future serving = %v, want ZeroMQ-class", serve)
+	within(t, "future training", r.trainTime, 19*time.Minute, 25*time.Minute)
+	if r.serveBatch > 5*time.Millisecond {
+		t.Errorf("future serving = %v, want ZeroMQ-class", r.serveBatch)
 	}
-	elect := parseDur(t, cell(t, tb, "Leader election", 2))
-	if elect > time.Second {
-		t.Errorf("future election = %v, want sub-second", elect)
+	if r.electRound > time.Second {
+		t.Errorf("future election = %v, want sub-second", r.electRound)
 	}
 }
 
 func TestElectionSweepShape(t *testing.T) {
-	tb := RunElectionSweep(Options{Seed: 1})[0]
-	if len(tb.Rows) != 4 {
-		t.Fatalf("sweep rows = %d, want 4", len(tb.Rows))
+	rows := runElectionSweep(Options{Seed: 1})
+	if len(rows) != 4 {
+		t.Fatalf("sweep rows = %d, want 4", len(rows))
 	}
 	prev := time.Duration(1 << 62)
-	for _, row := range tb.Rows {
-		round := parseDur(t, row[1])
-		if round > prev+time.Second { // allow jitter, but trend must fall
-			t.Errorf("round latency did not shrink with polling rate: %v after %v", round, prev)
+	for _, r := range rows {
+		if r.round > prev+time.Second { // allow jitter, but trend must fall
+			t.Errorf("round latency did not shrink with polling rate: %v after %v", r.round, prev)
 		}
-		prev = round
+		prev = r.round
 	}
 }
 
 func TestAutoscaleShape(t *testing.T) {
-	tb := RunAutoscale(Options{Seed: 1})[0]
-	if len(tb.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 load levels", len(tb.Rows))
+	rows := runAutoscale(Options{Seed: 1})
+	if len(rows) != 3 || rows[0].rate != 10 || rows[2].rate != 50 {
+		t.Fatalf("rows = %+v, want 10/30/50 req/s load levels", rows)
 	}
 	// Below capacity: EC2 p50 ~50ms beats Lambda's ~350ms.
-	lowLambda := parseDur(t, cell(t, tb, "10 req/s", 1))
-	lowEC2 := parseDur(t, cell(t, tb, "10 req/s", 3))
-	if lowEC2 >= lowLambda {
-		t.Errorf("below capacity EC2 (%v) should beat Lambda (%v)", lowEC2, lowLambda)
+	low := rows[0]
+	if low.ec2.p50 >= low.lambda.p50 {
+		t.Errorf("below capacity EC2 (%v) should beat Lambda (%v)", low.ec2.p50, low.lambda.p50)
 	}
-	if lowEC2 < 45*time.Millisecond || lowEC2 > 80*time.Millisecond {
-		t.Errorf("EC2 p50 at low load = %v, want ~50ms", lowEC2)
+	if low.ec2.p50 < 45*time.Millisecond || low.ec2.p50 > 80*time.Millisecond {
+		t.Errorf("EC2 p50 at low load = %v, want ~50ms", low.ec2.p50)
 	}
 	// Above capacity: EC2 p99 diverges; Lambda p99 stays near its p50.
-	hiLambda99 := parseDur(t, cell(t, tb, "50 req/s", 2))
-	hiEC299 := parseDur(t, cell(t, tb, "50 req/s", 4))
-	if hiEC299 < 5*time.Second {
-		t.Errorf("overloaded EC2 p99 = %v, want queueing divergence (>5s)", hiEC299)
+	hi := rows[2]
+	if hi.ec2.p99 < 5*time.Second {
+		t.Errorf("overloaded EC2 p99 = %v, want queueing divergence (>5s)", hi.ec2.p99)
 	}
-	if hiLambda99 > 1500*time.Millisecond {
-		t.Errorf("Lambda p99 under load = %v, want flat (autoscaling)", hiLambda99)
+	if hi.lambda.p99 > 1500*time.Millisecond {
+		t.Errorf("Lambda p99 under load = %v, want flat (autoscaling)", hi.lambda.p99)
+	}
+}
+
+// TestExperimentsDeterministic: identical output across runs with the same
+// seed.
+func TestExperimentsDeterministic(t *testing.T) {
+	for _, id := range []string{"table1", "servingcost", "bandwidth", "regionscale", "faasscale"} {
+		e, ok := ExperimentByID(id)
+		if !ok {
+			t.Fatalf("missing experiment %s", id)
+		}
+		if renderAll(e.Run(Options{Seed: 7})) != renderAll(e.Run(Options{Seed: 7})) {
+			t.Errorf("experiment %s is nondeterministic", id)
+		}
 	}
 }
 
@@ -342,6 +279,17 @@ func TestFmtHelpers(t *testing.T) {
 	for in, want := range cases {
 		if got := FmtDur(in); got != want {
 			t.Errorf("FmtDur(%v) = %q, want %q", in, got, want)
+		}
+	}
+	byteCases := map[int64]string{
+		999:           "999B",
+		6_700:         "6.7KB",
+		13_200_000:    "13.20MB",
+		2_500_000_000: "2.50GB",
+	}
+	for in, want := range byteCases {
+		if got := FmtBytes(in); got != want {
+			t.Errorf("FmtBytes(%d) = %q, want %q", in, got, want)
 		}
 	}
 	if FmtRatio(1045) != "1045x" || FmtRatio(37.9) != "37.9x" || FmtRatio(1.0) != "1.00x" {

@@ -127,8 +127,7 @@ func runFaaSScale(o Options, provisioned int) faasScaleResult {
 	})
 
 	var res faasScaleResult
-	done := false
-	c.K.Spawn("driver", func(p *sim.Proc) {
+	drive(c.K, "faasscale", sim.Time(faasScaleWindow+time.Minute), sim.Time(10*time.Second), func(p *sim.Proc) {
 		var asc *faas.Autoscaler
 		if provisioned > 0 {
 			if err := c.Lambda.ProvisionConcurrency(p, "serve", provisioned); err != nil {
@@ -178,13 +177,18 @@ func runFaaSScale(o Options, provisioned int) faasScaleResult {
 		res.coldFrac = st.ColdStartRate()
 		res.peak = st.PeakConcurrency
 		res.costPerHr = float64(c.Meter.Total()) / faasScaleWindow.Hours()
-		done = true
 	})
-	if !runKernelUntil(c.K, sim.Time(faasScaleWindow)+sim.Time(time.Minute),
-		sim.Time(10*time.Second), func() bool { return done }) {
-		panic("faasscale did not finish")
-	}
 	return res
+}
+
+// faasScaleSweep measures every provisioned-concurrency level: 0, 8, 32
+// and autoscaled. Each level simulates an independent cloud from (seed,
+// prov); the sweep engine runs them concurrently and hands back results in
+// sweep order.
+func faasScaleSweep(o Options) []faasScaleResult {
+	return sweep.Map(o.Workers, []int{0, 8, 32, -1}, func(_ int, prov int) faasScaleResult {
+		return runFaaSScale(o, prov)
+	})
 }
 
 // RunFaaSScale regenerates the FaaS serving-tier scaling table: flash-crowd
@@ -196,13 +200,7 @@ func RunFaaSScale(o Options) []*Table {
 		Header: []string{"Provisioned", "Done req/s", "p50", "p99",
 			"Cold starts", "Peak conc", "$/hr"},
 	}
-	// Every provisioned-concurrency level simulates an independent cloud
-	// from (seed, prov); the sweep engine runs them concurrently and hands
-	// back results in sweep order.
-	results := sweep.Map(o.Workers, []int{0, 8, 32, -1}, func(_ int, prov int) faasScaleResult {
-		return runFaaSScale(o, prov)
-	})
-	for _, r := range results {
+	for _, r := range faasScaleSweep(o) {
 		label := r.provisioned
 		if label == faasScaleAutoLabel {
 			label = fmt.Sprintf("auto (->%d)", r.scaleTarget)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestFaaSScaleShape is the tentpole's acceptance gate: cold-start fraction
 // and tail latency must fall as provisioned concurrency meets the flash
@@ -52,24 +49,23 @@ func TestFaaSScaleShape(t *testing.T) {
 	}
 }
 
-// TestFaaSScaleTable checks the rendered artifact's shape.
+// TestFaaSScaleTable checks the shape of the sweep the table renders.
 func TestFaaSScaleTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faas-scale scenario in -short mode")
 	}
-	tb := RunFaaSScale(Options{Seed: 1})[0]
-	if len(tb.Rows) != 4 {
-		t.Fatalf("rows = %d, want 3 fixed levels + auto", len(tb.Rows))
+	rows := faasScaleSweep(Options{Seed: 1})
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 3 fixed levels + auto", len(rows))
 	}
-	if !strings.HasPrefix(tb.Rows[3][0], "auto") {
-		t.Errorf("last row = %q, want the autoscaled sweep point", tb.Rows[3][0])
+	if rows[3].provisioned != faasScaleAutoLabel {
+		t.Errorf("last row = %q, want the autoscaled sweep point", rows[3].provisioned)
 	}
-	p99at0 := parseDur(t, cell(t, tb, "0", 3))
-	p99at32 := parseDur(t, cell(t, tb, "32", 3))
-	if p99at32 >= p99at0 {
-		t.Errorf("p99 did not fall with provisioning: %v at 32 vs %v at 0", p99at32, p99at0)
+	at0, at32 := rows[0], rows[2]
+	if at32.p99 >= at0.p99 {
+		t.Errorf("p99 did not fall with provisioning: %v at 32 vs %v at 0", at32.p99, at0.p99)
 	}
-	if cold := cell(t, tb, "32", 4); cold != "0.0%" {
-		t.Errorf("cold starts at 32 provisioned = %s, want 0.0%%", cold)
+	if at32.coldFrac != 0 {
+		t.Errorf("cold starts at 32 provisioned = %.4f, want 0", at32.coldFrac)
 	}
 }

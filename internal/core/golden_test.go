@@ -135,11 +135,7 @@ func TestCalibratedExperimentsMatchGoldenTraces(t *testing.T) {
 		if !ok {
 			t.Fatalf("golden experiment %q missing from registry", id)
 		}
-		got := ""
-		for _, tb := range e.Run(Options{Seed: 1}) {
-			got += tb.Render()
-		}
-		if got != want {
+		if got := renderAll(e.Run(Options{Seed: 1})); got != want {
 			t.Errorf("experiment %q diverged from its golden trace:\ngot:\n%s\nwant:\n%s", id, got, want)
 		}
 	}

@@ -120,6 +120,17 @@ func runMillionUser(seed uint64, shards, users int, rate float64, window time.Du
 	}
 }
 
+// millionUserSweep measures 16, 32 and 64 shards at the experiment's
+// population. Each shard count is an independent simulation of (seed,
+// shards); the sweep engine fans the points across cores and results
+// come back in sweep order, byte-identical to a sequential run.
+func millionUserSweep(o Options) []millionResult {
+	users := o.users(millionUsersDefault)
+	return sweep.Map(o.Workers, []int{16, 32, 64}, func(_ int, shards int) millionResult {
+		return runMillionUser(o.Seed, shards, users, millionRate, millionWindow)
+	})
+}
+
 // RunMillionUser regenerates the million-user scaling table: aggregate
 // completed throughput, sketched tail latencies, sketch footprint, and
 // extrapolated hourly storage cost as the partition count doubles from 16
@@ -131,13 +142,7 @@ func RunMillionUser(o Options) []*Table {
 		Header: []string{"Shards", "Done req/s", "p50", "p99", "p99.9",
 			"Sketch KB", "Storage $/hr"},
 	}
-	// Each shard count is an independent simulation of (seed, shards); the
-	// sweep engine fans the points across cores and rows commit in sweep
-	// order, byte-identical to a sequential run.
-	results := sweep.Map(o.Workers, []int{16, 32, 64}, func(_ int, shards int) millionResult {
-		return runMillionUser(o.Seed, shards, users, millionRate, millionWindow)
-	})
-	for _, r := range results {
+	for _, r := range millionUserSweep(o) {
 		t.AddRow(
 			fmt.Sprintf("%d", r.shards),
 			fmt.Sprintf("%.0f", r.throughput),

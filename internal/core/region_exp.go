@@ -139,6 +139,16 @@ func runRegionScale(o Options, shards int) regionResult {
 	}
 }
 
+// regionScaleSweep measures 1, 2, 4 and 8 shards. Each shard count is an
+// independent simulation of (seed, shards), so the sweep engine fans the
+// points across cores; results come back in sweep order, keeping the
+// rendered table byte-identical to a sequential run.
+func regionScaleSweep(o Options) []regionResult {
+	return sweep.Map(o.Workers, []int{1, 2, 4, 8}, func(_ int, shards int) regionResult {
+		return runRegionScale(o, shards)
+	})
+}
+
 // RunRegionScale regenerates the region-scale sharding table: aggregate
 // throughput, completion latency, hot-shard skew, and extrapolated hourly
 // storage cost for a fixed offered load as the table's partition count
@@ -149,14 +159,8 @@ func RunRegionScale(o Options) []*Table {
 		Header: []string{"Shards", "Done req/s", "Speedup", "p50", "p99",
 			"Hottest shard", "Storage $/hr"},
 	}
-	// Each shard count is an independent simulation of (seed, shards), so
-	// the sweep engine fans the points across cores; rows commit in sweep
-	// order, keeping the rendered table byte-identical to a sequential run.
-	results := sweep.Map(o.Workers, []int{1, 2, 4, 8}, func(_ int, shards int) regionResult {
-		return runRegionScale(o, shards)
-	})
 	var base float64
-	for _, r := range results {
+	for _, r := range regionScaleSweep(o) {
 		if base == 0 {
 			base = r.throughput
 		}

@@ -42,22 +42,20 @@ func TestRegionScaleNearLinear(t *testing.T) {
 	}
 }
 
-// TestRegionScaleTable checks the rendered experiment artifact's shape.
+// TestRegionScaleTable checks the shape of the sweep the table renders.
 func TestRegionScaleTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("region-scale scenario in -short mode")
 	}
-	tb := RunRegionScale(Options{Seed: 1})[0]
-	if len(tb.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 shard counts", len(tb.Rows))
+	rows := regionScaleSweep(Options{Seed: 1})
+	if len(rows) != 4 || rows[0].shards != 1 || rows[3].shards != 8 {
+		t.Fatalf("rows = %+v, want 1/2/4/8 shard counts", rows)
 	}
-	p99at1 := parseDur(t, cell(t, tb, "1", 4))
-	p99at8 := parseDur(t, cell(t, tb, "8", 4))
-	if p99at1 < time.Second {
-		t.Errorf("1-shard p99 = %v, want queueing collapse (>1s)", p99at1)
+	if rows[0].p99 < time.Second {
+		t.Errorf("1-shard p99 = %v, want queueing collapse (>1s)", rows[0].p99)
 	}
-	if p99at8 > 50*time.Millisecond {
-		t.Errorf("8-shard p99 = %v, want service-time-class latency", p99at8)
+	if rows[3].p99 > 50*time.Millisecond {
+		t.Errorf("8-shard p99 = %v, want service-time-class latency", rows[3].p99)
 	}
 }
 

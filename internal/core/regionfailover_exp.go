@@ -277,8 +277,7 @@ func runStragglerRescue(seed uint64, spares int) stragglerResult {
 	}
 	var out stragglerResult
 	out.spares = spares
-	done := false
-	c.K.Spawn("driver", func(p *sim.Proc) {
+	drive(c.K, "straggler rescue", sim.Time(10*time.Minute), sim.Time(time.Second), func(p *sim.Proc) {
 		ex := dataflow.NewExecutor(pf, dataflow.DefaultEnv())
 		res, rep, err := ex.ExecuteResilient(p, plan, 4, dataflow.StragglerPolicy{
 			Patience: 200 * time.Millisecond,
@@ -297,12 +296,7 @@ func runStragglerRescue(seed uint64, spares int) stragglerResult {
 		out.report = *rep
 		out.decodeOK = rep.DecodeOK
 		out.partCount = res.Partitions
-		done = true
 	})
-	if !runKernelUntil(c.K, sim.Time(10*time.Minute), sim.Time(time.Second),
-		func() bool { return done }) {
-		panic("straggler rescue did not finish")
-	}
 	return out
 }
 

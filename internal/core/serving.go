@@ -9,8 +9,10 @@ import (
 	"repro/internal/compute"
 	"repro/internal/faas"
 	"repro/internal/msgnet"
+	"repro/internal/netsim"
 	"repro/internal/queue"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/wordfilter"
 )
 
@@ -49,24 +51,55 @@ const servingBatches = 1000
 // the batch to the results being durable in the output channel, averaged
 // over 1,000 batches as in the paper.
 func RunServing(o Options) []*Table {
-	lambdaFetch := runServingLambda(o, true)
-	lambdaOpt := runServingLambda(o.withSeed(o.Seed+1), false)
-	ec2SQS := runServingEC2SQS(o.withSeed(o.Seed + 2))
-	ec2ZMQ := runServingEC2ZMQ(o.withSeed(o.Seed + 3))
-
+	r := runServing(o)
 	t := &Table{
 		Title:  "§3.1 Prediction serving: mean latency per 10-document batch (1,000 batches)",
 		Header: []string{"Implementation", "Measured", "Paper"},
 	}
-	t.AddRow("Lambda, model fetched from S3, results to S3", FmtDur(lambdaFetch), "559ms")
-	t.AddRow("Lambda, compiled-in model, results to SQS", FmtDur(lambdaOpt), "447ms")
-	t.AddRow("EC2 m5.large + SQS", FmtDur(ec2SQS), "13ms")
-	t.AddRow("EC2 m5.large + ZeroMQ", FmtDur(ec2ZMQ), "2.8ms")
+	t.AddRow("Lambda, model fetched from S3, results to S3", FmtDur(r.lambdaFetch), "559ms")
+	t.AddRow("Lambda, compiled-in model, results to SQS", FmtDur(r.lambdaOpt), "447ms")
+	t.AddRow("EC2 m5.large + SQS", FmtDur(r.ec2SQS), "13ms")
+	t.AddRow("EC2 m5.large + ZeroMQ", FmtDur(r.ec2ZMQ), "2.8ms")
 	t.AddNote("EC2+SQS vs optimized Lambda: %.0fx faster (paper says 27x; the paper's own numbers give 447/13 = 34x)",
-		float64(lambdaOpt)/float64(ec2SQS))
+		float64(r.lambdaOpt)/float64(r.ec2SQS))
 	t.AddNote("EC2+ZeroMQ vs optimized Lambda: %.0fx faster (paper reports 127x)",
-		float64(lambdaOpt)/float64(ec2ZMQ))
+		float64(r.lambdaOpt)/float64(r.ec2ZMQ))
 	return []*Table{t}
+}
+
+// servingResult is the four implementations' mean batch latencies.
+type servingResult struct {
+	lambdaFetch, lambdaOpt, ec2SQS, ec2ZMQ time.Duration
+}
+
+// runServing measures the four implementations, each on its own cloud.
+func runServing(o Options) servingResult {
+	return servingResult{
+		lambdaFetch: runServingLambda(o, true),
+		lambdaOpt:   runServingLambda(o.withSeed(o.Seed+1), false),
+		ec2SQS:      runServingEC2SQS(o.withSeed(o.Seed + 2)),
+		ec2ZMQ:      runServingEC2ZMQ(o.withSeed(o.Seed + 3)),
+	}
+}
+
+// sendBatches is the queue-fed serving client: it sends each batch, waits
+// for the handler to release the batch's completion latch, and records
+// the latency from initiation to durable results.
+func sendBatches(p *sim.Proc, inQ *queue.Queue, client *netsim.Node, completion map[int]*sim.Latch, rec stats.Summary) {
+	for b := 0; b < servingBatches; b++ {
+		l := &sim.Latch{}
+		completion[b] = l
+		start := p.Now() // client initiates the batch
+		if _, err := inQ.SendBatch(p, client, makeDocs(b)); err != nil {
+			panic(err)
+		}
+		l.Wait(p)
+		rec.Add(time.Duration(p.Now() - start))
+		delete(completion, b)
+		// The pipeline settles between batches: the server re-parks in
+		// its long poll.
+		p.Sleep(50 * time.Millisecond)
+	}
 }
 
 // runServingLambda measures the two Lambda variants. fetchModel selects the
@@ -134,29 +167,13 @@ func runServingLambda(o Options, fetchModel bool) time.Duration {
 	}
 	esm := c.Lambda.MapQueue(inQ, "classify", ServingBatchSize)
 
-	done := false
-	c.K.Spawn("client", func(p *sim.Proc) {
+	drive(c.K, "serving (lambda)", sim.Time(4*time.Hour), sim.Time(time.Minute), func(p *sim.Proc) {
 		for !setup {
 			p.Sleep(100 * time.Millisecond)
 		}
-		for b := 0; b < servingBatches; b++ {
-			l := &sim.Latch{}
-			completion[b] = l
-			start := p.Now() // client initiates the batch
-			if _, err := inQ.SendBatch(p, client, makeDocs(b)); err != nil {
-				panic(err)
-			}
-			l.Wait(p)
-			rec.Add(time.Duration(p.Now() - start))
-			delete(completion, b)
-			p.Sleep(50 * time.Millisecond) // pipeline settles between batches
-		}
+		sendBatches(p, inQ, client, completion, rec)
 		esm.Stop()
-		done = true
 	})
-	if !runKernelUntil(c.K, sim.Time(4*time.Hour), sim.Time(time.Minute), func() bool { return done }) {
-		panic("serving (lambda) did not finish")
-	}
 	return rec.Mean()
 }
 
@@ -203,27 +220,11 @@ func runServingEC2SQS(o Options) time.Duration {
 		}
 	})
 
-	done := false
-	c.K.Spawn("client", func(p *sim.Proc) {
+	drive(c.K, "serving (ec2+sqs)", sim.Time(2*time.Hour), sim.Time(time.Minute), func(p *sim.Proc) {
 		p.Sleep(2 * time.Minute) // let the server boot
-		for b := 0; b < servingBatches; b++ {
-			l := &sim.Latch{}
-			completion[b] = l
-			start := p.Now() // client initiates the batch
-			if _, err := inQ.SendBatch(p, client, makeDocs(b)); err != nil {
-				panic(err)
-			}
-			l.Wait(p)
-			rec.Add(time.Duration(p.Now() - start))
-			delete(completion, b)
-			p.Sleep(50 * time.Millisecond) // server re-parks in its long poll
-		}
+		sendBatches(p, inQ, client, completion, rec)
 		stop = true
-		done = true
 	})
-	if !runKernelUntil(c.K, sim.Time(2*time.Hour), sim.Time(time.Minute), func() bool { return done }) {
-		panic("serving (ec2+sqs) did not finish")
-	}
 	return rec.Mean()
 }
 
@@ -233,8 +234,7 @@ func runServingEC2ZMQ(o Options) time.Duration {
 	rec := o.newSummary("batch")
 	model := wordfilter.DefaultModel()
 
-	done := false
-	c.K.Spawn("driver", func(p *sim.Proc) {
+	drive(c.K, "serving (ec2+zmq)", sim.Time(time.Hour), sim.Time(time.Minute), func(p *sim.Proc) {
 		server := c.EC2.Launch(p, compute.M5Large, ClientRack)
 		clientVM := c.EC2.Launch(p, compute.M5Large, ClientRack)
 		srvEP := c.Mesh.Endpoint("serve", server.Node())
@@ -258,18 +258,41 @@ func runServingEC2ZMQ(o Options) time.Duration {
 			}
 			rec.Add(time.Duration(p.Now() - start))
 		}
-		done = true
 	})
-	if !runKernelUntil(c.K, sim.Time(time.Hour), sim.Time(time.Minute), func() bool { return done }) {
-		panic("serving (ec2+zmq) did not finish")
-	}
 	return rec.Mean()
+}
+
+// servingCostResult is the 1M msg/s cost comparison: one m5.large's
+// measured throughput, the fleet it implies, and both hourly bills.
+type servingCostResult struct {
+	perInstance    float64 // measured msg/s per m5.large
+	fleet          int
+	ec2Hourly      float64
+	requestsPerMsg float64
+	sqsHourly      float64
 }
 
 // RunServingCost regenerates the §3.1 cost comparison at 1M messages/s:
 // the SQS request bill alone versus an EC2 fleet sized from measured
 // instance throughput.
 func RunServingCost(o Options) []*Table {
+	r := runServingCost(o)
+	t := &Table{
+		Title:  "§3.1 Serving cost at 1M messages/s",
+		Header: []string{"Approach", "Basis", "Cost per hour", "Paper"},
+	}
+	t.AddRow("SQS requests alone",
+		fmt.Sprintf("%.1f requests/msg x 3.6B msgs/hr", r.requestsPerMsg),
+		fmt.Sprintf("$%.0f", r.sqsHourly), "$1,584")
+	t.AddRow("EC2 m5.large fleet",
+		fmt.Sprintf("%d instances at %.0f msg/s each", r.fleet, r.perInstance),
+		fmt.Sprintf("$%.2f", r.ec2Hourly), "$27.84")
+	t.AddNote("cost ratio: %.0fx in EC2's favor (paper reports 57x)", r.sqsHourly/r.ec2Hourly)
+	t.AddNote("instance throughput measured over a 30s steady-state window (paper: ~3,500 req/s)")
+	return []*Table{t}
+}
+
+func runServingCost(o Options) servingCostResult {
 	c := NewCloud(o.Seed)
 	defer c.Close()
 
@@ -305,27 +328,13 @@ func RunServingCost(o Options) []*Table {
 	if processed == 0 {
 		panic("servingcost: throughput probe measured nothing")
 	}
-	perInstance := float64(processed) / 30.0
-
-	fleet := int(math.Ceil(ServingTargetRate / perInstance))
-	ec2Hourly := float64(fleet) * float64(c.Catalog.EC2Hourly("m5.large"))
+	r := servingCostResult{perInstance: float64(processed) / 30.0}
+	r.fleet = int(math.Ceil(ServingTargetRate / r.perInstance))
+	r.ec2Hourly = float64(r.fleet) * float64(c.Catalog.EC2Hourly("m5.large"))
 
 	// SQS request bill: every message is sent individually by clients
 	// (1 request) and received in batches of 10 (0.1 requests).
-	requestsPerMsg := 1.0 + 1.0/ServingBatchSize
-	sqsHourly := ServingTargetRate * 3600 * requestsPerMsg * float64(c.Catalog.SQSPerRequest)
-
-	t := &Table{
-		Title:  "§3.1 Serving cost at 1M messages/s",
-		Header: []string{"Approach", "Basis", "Cost per hour", "Paper"},
-	}
-	t.AddRow("SQS requests alone",
-		fmt.Sprintf("%.1f requests/msg x 3.6B msgs/hr", requestsPerMsg),
-		fmt.Sprintf("$%.0f", sqsHourly), "$1,584")
-	t.AddRow("EC2 m5.large fleet",
-		fmt.Sprintf("%d instances at %.0f msg/s each", fleet, perInstance),
-		fmt.Sprintf("$%.2f", ec2Hourly), "$27.84")
-	t.AddNote("cost ratio: %.0fx in EC2's favor (paper reports 57x)", sqsHourly/ec2Hourly)
-	t.AddNote("instance throughput measured over a 30s steady-state window (paper: ~3,500 req/s)")
-	return []*Table{t}
+	r.requestsPerMsg = 1.0 + 1.0/ServingBatchSize
+	r.sqsHourly = ServingTargetRate * 3600 * r.requestsPerMsg * float64(c.Catalog.SQSPerRequest)
+	return r
 }

@@ -164,8 +164,7 @@ func runStateCache(o Options, workers int, interval time.Duration, cached bool) 
 		panic(err)
 	}
 
-	done := false
-	c.K.Spawn("driver", func(p *sim.Proc) {
+	drive(c.K, "statecache", end+sim.Time(30*time.Second), sim.Time(time.Second), func(p *sim.Proc) {
 		var wg sim.WaitGroup
 		for i := 0; i < workers; i++ {
 			wg.Add(1)
@@ -185,12 +184,7 @@ func runStateCache(o Options, workers int, interval time.Duration, cached bool) 
 			p.Sleep(3*interval + time.Second)
 			cl.Accrue(p.Now())
 		}
-		done = true
 	})
-	if !runKernelUntil(c.K, end+sim.Time(30*time.Second), sim.Time(time.Second),
-		func() bool { return done }) {
-		panic("statecache experiment did not finish")
-	}
 
 	stateCost := float64(c.Meter.Cost("dynamodb.read") + c.Meter.Cost("dynamodb.write") +
 		c.Meter.Cost("statecache.gbsec"))
@@ -215,16 +209,11 @@ func runStateCache(o Options, workers int, interval time.Duration, cached bool) 
 	return res
 }
 
-// RunStateCache regenerates the function-colocated state-cache table:
-// identical stateful workloads against the DynamoDB-class store (the
-// paper's data-shipping baseline) and against VM-colocated CRDT replicas
-// converged by gossip, sweeping replica count and gossip interval.
-func RunStateCache(o Options) []*Table {
-	t := &Table{
-		Title: "§4 fluid state: function-colocated CRDT cache vs storage round trips",
-		Header: []string{"Variant", "Replicas", "Gossip", "Ops/s", "Read p50",
-			"Read p99", "Stale p99", "Gossip/rnd", "State $/hr"},
-	}
+// stateCacheSweep measures the uncached baseline and five cached replicas
+// × gossip points. The points are independent simulations keyed by (seed,
+// point parameters); the sweep engine farms them across cores and returns
+// results in point order.
+func stateCacheSweep(o Options) []stateCacheResult {
 	type point struct {
 		workers  int
 		interval time.Duration
@@ -238,25 +227,33 @@ func RunStateCache(o Options) []*Table {
 		{4, 50 * time.Millisecond, true},
 		{4, time.Second, true},
 	}
-	// The replicas × gossip grid points are independent simulations keyed
-	// by (seed, point parameters); the sweep engine farms them across
-	// cores and commits results in point order.
-	results := sweep.Map(o.Workers, points, func(_ int, pt point) stateCacheResult {
+	return sweep.Map(o.Workers, points, func(_ int, pt point) stateCacheResult {
 		return runStateCache(o, pt.workers, pt.interval, pt.cached)
 	})
+}
+
+// RunStateCache regenerates the function-colocated state-cache table:
+// identical stateful workloads against the DynamoDB-class store (the
+// paper's data-shipping baseline) and against VM-colocated CRDT replicas
+// converged by gossip, sweeping replica count and gossip interval.
+func RunStateCache(o Options) []*Table {
+	t := &Table{
+		Title: "§4 fluid state: function-colocated CRDT cache vs storage round trips",
+		Header: []string{"Variant", "Replicas", "Gossip", "Ops/s", "Read p50",
+			"Read p99", "Stale p99", "Gossip/rnd", "State $/hr"},
+	}
 	var uncachedP99, cachedP99 time.Duration
-	for i, pt := range points {
-		r := results[i]
+	for _, r := range stateCacheSweep(o) {
 		gossip, stale, perRound := "—", "—", "—"
-		if pt.cached {
+		if r.interval == 0 {
+			uncachedP99 = r.p99
+		} else {
 			gossip = FmtDur(r.interval)
 			stale = FmtDur(r.staleP99)
 			perRound = FmtBytes(r.gossipPer)
-		}
-		if !pt.cached {
-			uncachedP99 = r.p99
-		} else if pt.workers == 4 && pt.interval == 200*time.Millisecond {
-			cachedP99 = r.p99
+			if r.workers == 4 && r.interval == 200*time.Millisecond {
+				cachedP99 = r.p99
+			}
 		}
 		t.AddRow(
 			r.label,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/compute"
@@ -22,11 +23,61 @@ func runKernelUntil(k *sim.Kernel, horizon, step sim.Time, cond func() bool) boo
 	return cond()
 }
 
+// drive spawns the drivers in order and steps the kernel until every one
+// has returned, panicking with what and the number still running if the
+// horizon passes first. The kernel stops at the first step boundary after
+// the last driver returns, so state read afterwards sees that instant.
+func drive(k *sim.Kernel, what string, horizon, step sim.Time, drivers ...func(*sim.Proc)) {
+	running := len(drivers)
+	for i, d := range drivers {
+		k.Spawn(fmt.Sprintf("%s driver %d", what, i), func(p *sim.Proc) {
+			d(p)
+			running--
+		})
+	}
+	if !runKernelUntil(k, horizon, step, func() bool { return running == 0 }) {
+		panic(fmt.Sprintf("%s: %d of %d drivers did not finish by %v", what, running, len(drivers), horizon))
+	}
+}
+
+// table1Result holds Table 1's six measured means, in column order.
+type table1Result struct {
+	invoke, lambdaS3, lambdaDDB, ec2S3, ec2DDB, zmq time.Duration
+}
+
 // RunTable1 regenerates Table 1: the mean latency of "communicating" 1KB
 // six different ways, plus the compared-to-best ratio row. Trial counts
 // match the paper: 1,000 invocations, 5,000 storage I/O pairs, 10,000
 // network round trips.
 func RunTable1(o Options) []*Table {
+	r := runTable1(o)
+	t := &Table{
+		Title: "Table 1: latency of communicating 1KB (means; simulated reproduction)",
+		Header: []string{"", "Func. Invoc. (1KB)", "Lambda I/O (S3)", "Lambda I/O (DynamoDB)",
+			"EC2 I/O (S3)", "EC2 I/O (DynamoDB)", "EC2 NW (0MQ)"},
+	}
+	means := []time.Duration{r.invoke, r.lambdaS3, r.lambdaDDB, r.ec2S3, r.ec2DDB, r.zmq}
+	best := means[0]
+	for _, m := range means[1:] {
+		if m > 0 && m < best {
+			best = m
+		}
+	}
+	row := []string{"Latency (measured)"}
+	ratios := []string{"Compared to best"}
+	for _, m := range means {
+		row = append(row, FmtDur(m))
+		ratios = append(ratios, FmtRatio(float64(m)/float64(best)))
+	}
+	t.Rows = append(t.Rows, row, ratios,
+		[]string{"Paper reported", "303ms", "108ms", "11ms", "106ms", "11ms", "290µs"},
+		[]string{"Paper ratios", "1,045x", "372x", "37.9x", "365x", "37.9x", "1x"},
+	)
+	t.AddNote("trials: 1,000 invocations; 5,000 I/O pairs per storage column; 10,000 ZeroMQ round trips")
+	return []*Table{t}
+}
+
+func runTable1(o Options) table1Result {
 	c := NewCloud(o.Seed)
 	defer c.Close()
 
@@ -75,8 +126,7 @@ func RunTable1(o Options) []*Table {
 		panic(err)
 	}
 
-	done := 0
-	c.K.Spawn("invoker", func(p *sim.Proc) {
+	invoker := func(p *sim.Proc) {
 		for i := 0; i < 1000; i++ {
 			start := p.Now()
 			if _, _, err := c.Lambda.Invoke(p, "noop", payload); err != nil {
@@ -84,17 +134,15 @@ func RunTable1(o Options) []*Table {
 			}
 			recInvoke.Add(time.Duration(p.Now() - start))
 		}
-		done++
-	})
-	c.K.Spawn("lambda-io", func(p *sim.Proc) {
+	}
+	lambdaIO := func(p *sim.Proc) {
 		// The probe's I/O takes ~9.9 virtual minutes; one invocation
 		// fits the 15-minute lifetime.
 		if _, _, err := c.Lambda.Invoke(p, "io-probe", nil); err != nil {
 			panic(err)
 		}
-		done++
-	})
-	c.K.Spawn("ec2-io", func(p *sim.Proc) {
+	}
+	ec2IO := func(p *sim.Proc) {
 		inst := c.EC2.Launch(p, compute.M5Large, ClientRack)
 		node := inst.Node()
 		for i := 0; i < 5000; i++ {
@@ -115,9 +163,8 @@ func RunTable1(o Options) []*Table {
 			}
 			recEC2DDB.Add(time.Duration(p.Now() - start))
 		}
-		done++
-	})
-	c.K.Spawn("zmq", func(p *sim.Proc) {
+	}
+	zmq := func(p *sim.Proc) {
 		server := c.EC2.Launch(p, compute.M5Large, ClientRack)
 		clientVM := c.EC2.Launch(p, compute.M5Large, ClientRack)
 		srvEP := c.Mesh.Endpoint("zmq-server", server.Node())
@@ -130,39 +177,11 @@ func RunTable1(o Options) []*Table {
 			}
 			recZMQ.Add(time.Duration(p.Now() - start))
 		}
-		done++
-	})
+	}
+	drive(c.K, "table1", sim.Time(2*time.Hour), sim.Time(time.Minute), invoker, lambdaIO, ec2IO, zmq)
 
-	c.K.RunUntil(sim.Time(2 * time.Hour))
-	if done != 4 {
-		panic("table1: drivers did not complete")
+	return table1Result{
+		invoke: recInvoke.Mean(), lambdaS3: recLambdaS3.Mean(), lambdaDDB: recLambdaDDB.Mean(),
+		ec2S3: recEC2S3.Mean(), ec2DDB: recEC2DDB.Mean(), zmq: recZMQ.Mean(),
 	}
-
-	t := &Table{
-		Title: "Table 1: latency of communicating 1KB (means; simulated reproduction)",
-		Header: []string{"", "Func. Invoc. (1KB)", "Lambda I/O (S3)", "Lambda I/O (DynamoDB)",
-			"EC2 I/O (S3)", "EC2 I/O (DynamoDB)", "EC2 NW (0MQ)"},
-	}
-	means := []time.Duration{
-		recInvoke.Mean(), recLambdaS3.Mean(), recLambdaDDB.Mean(),
-		recEC2S3.Mean(), recEC2DDB.Mean(), recZMQ.Mean(),
-	}
-	best := means[0]
-	for _, m := range means[1:] {
-		if m > 0 && m < best {
-			best = m
-		}
-	}
-	row := []string{"Latency (measured)"}
-	ratios := []string{"Compared to best"}
-	for _, m := range means {
-		row = append(row, FmtDur(m))
-		ratios = append(ratios, FmtRatio(float64(m)/float64(best)))
-	}
-	t.Rows = append(t.Rows, row, ratios,
-		[]string{"Paper reported", "303ms", "108ms", "11ms", "106ms", "11ms", "290µs"},
-		[]string{"Paper ratios", "1,045x", "372x", "37.9x", "365x", "37.9x", "1x"},
-	)
-	t.AddNote("trials: 1,000 invocations; 5,000 I/O pairs per storage column; 10,000 ZeroMQ round trips")
-	return []*Table{t}
 }

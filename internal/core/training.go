@@ -57,6 +57,10 @@ func (pt *proxyTrainer) maybeStep(iter int) {
 
 func (pt *proxyTrainer) holdoutLoss() float64 { return pt.net.Loss(pt.hX, pt.hY) }
 
+// trainingIters is the run length: 10 epochs x 900 batches = 9,000
+// iterations.
+const trainingIters = TrainingEpochs * int(TrainingCorpusBytes/TrainingBatchBytes)
+
 // trainingResult summarizes one platform's run.
 type trainingResult struct {
 	fetchMean   time.Duration
@@ -74,10 +78,8 @@ type trainingResult struct {
 // functions chained through the 15-minute lifetime, batches fetched from
 // S3) and once on an m4.large with EBS-resident data.
 func RunTraining(o Options) []*Table {
-	totalIters := TrainingEpochs * int(TrainingCorpusBytes/TrainingBatchBytes) // 9,000
-
-	lambda := runLambdaTraining(o, totalIters)
-	ec2 := runEC2Training(o, totalIters)
+	lambda := runLambdaTraining(o)
+	ec2 := runEC2Training(o)
 
 	t := &Table{
 		Title: "§3.1 Model training: Lambda (640MB, data in S3) vs EC2 m4.large (data on EBS)",
@@ -96,12 +98,12 @@ func RunTraining(o Options) []*Table {
 		lambda.total.Seconds()/ec2.total.Seconds(), float64(lambda.cost)/float64(ec2.cost))
 	t.AddNote("real proxy model (%d features) holdout MSE: %.3f -> %.3f on Lambda, %.3f -> %.3f on EC2",
 		proxyVocab, lambda.lossBefore, lambda.lossAfter, ec2.lossBefore, ec2.lossAfter)
-	t.AddNote("%d iterations = %d epochs x %d batches of 100MB", totalIters,
+	t.AddNote("%d iterations = %d epochs x %d batches of 100MB", trainingIters,
 		TrainingEpochs, reviews.PaperBatchPerPass)
 	return []*Table{t}
 }
 
-func runLambdaTraining(o Options, totalIters int) trainingResult {
+func runLambdaTraining(o Options) trainingResult {
 	c := NewCloud(o.Seed)
 	defer c.Close()
 
@@ -129,7 +131,7 @@ func runLambdaTraining(o Options, totalIters int) trainingResult {
 			// Run as many iterations as fit in the lifetime, with a
 			// safety margin of 1.2 estimated iterations.
 			est := 4 * time.Second
-			for st.Next < totalIters && ctx.Remaining() > time.Duration(1.2*float64(est)) {
+			for st.Next < trainingIters && ctx.Remaining() > time.Duration(1.2*float64(est)) {
 				t0 := p.Now()
 				if _, err := c.S3.Get(p, node, reviews.BatchKey(st.Next%batches)); err != nil {
 					return nil, err
@@ -150,16 +152,15 @@ func runLambdaTraining(o Options, totalIters int) trainingResult {
 		panic(err)
 	}
 
-	done := false
 	var start, end sim.Time
-	c.K.Spawn("driver", func(p *sim.Proc) {
+	drive(c.K, "lambda training", sim.Time(24*time.Hour), sim.Time(time.Minute), func(p *sim.Proc) {
 		for i := 0; i < batches; i++ {
 			c.S3.PutSized(p, staging, reviews.BatchKey(i), TrainingBatchBytes)
 		}
 		c.Meter.Reset() // exclude staging from the training bill
 		start = p.Now()
 		st := trainState{}
-		for st.Next < totalIters {
+		for st.Next < trainingIters {
 			payload, _ := json.Marshal(st)
 			resp, _, err := c.Lambda.Invoke(p, "train", payload)
 			if err != nil {
@@ -171,12 +172,7 @@ func runLambdaTraining(o Options, totalIters int) trainingResult {
 			res.executions++
 		}
 		end = p.Now()
-		done = true
 	})
-	c.K.RunUntil(sim.Time(24 * time.Hour))
-	if !done {
-		panic("lambda training did not finish")
-	}
 	res.fetchMean = fetch.Mean()
 	res.computeMean = optim.Mean()
 	res.iterMean = iters.Mean()
@@ -187,7 +183,7 @@ func runLambdaTraining(o Options, totalIters int) trainingResult {
 	return res
 }
 
-func runEC2Training(o Options, totalIters int) trainingResult {
+func runEC2Training(o Options) trainingResult {
 	c := NewCloud(o.Seed)
 	defer c.Close()
 
@@ -197,11 +193,10 @@ func runEC2Training(o Options, totalIters int) trainingResult {
 	pt := newProxyTrainer(o.Seed)
 	res := trainingResult{lossBefore: pt.holdoutLoss(), executions: 1}
 
-	done := false
 	var elapsed time.Duration
 	var cost pricing.USD
 	batches := int(TrainingCorpusBytes / TrainingBatchBytes)
-	c.K.Spawn("driver", func(p *sim.Proc) {
+	drive(c.K, "ec2 training", sim.Time(24*time.Hour), sim.Time(time.Minute), func(p *sim.Proc) {
 		inst := c.EC2.Launch(p, compute.M4Large, ClientRack)
 		// The corpus is staged on the volume; steady-state reads are
 		// page-cache warm, as in the paper's measured 0.04s fetches.
@@ -209,7 +204,7 @@ func runEC2Training(o Options, totalIters int) trainingResult {
 			inst.Volume().Warm(reviews.BatchKey(i))
 		}
 		start := p.Now()
-		for i := 0; i < totalIters; i++ {
+		for i := 0; i < trainingIters; i++ {
 			t0 := p.Now()
 			if err := inst.Volume().Read(p, reviews.BatchKey(i%batches), TrainingBatchBytes); err != nil {
 				panic(err)
@@ -227,12 +222,7 @@ func runEC2Training(o Options, totalIters int) trainingResult {
 		elapsed = time.Duration(p.Now() - start)
 		// The paper bills the training window, not instance boot.
 		cost = c.Catalog.EC2Hourly(inst.Type().Name).PerHour(elapsed)
-		done = true
 	})
-	c.K.RunUntil(sim.Time(24 * time.Hour))
-	if !done {
-		panic("ec2 training did not finish")
-	}
 	res.fetchMean = fetch.Mean()
 	res.computeMean = optim.Mean()
 	res.iterMean = iters.Mean()

@@ -37,6 +37,11 @@ func signupSteps() []workflow.Step {
 	}
 }
 
+// workflowResult is the mean end-to-end request latency of each side.
+type workflowResult struct {
+	pipeline, monolith time.Duration
+}
+
 // RunWorkflow regenerates the §2 function-composition measurement: the
 // per-request overhead of an 8-step event-driven signup pipeline on FaaS,
 // against the same logic run in-process on one EC2 instance. The paper's
@@ -44,6 +49,24 @@ func signupSteps() []workflow.Step {
 // part of that to "the overheads of Lambda task handling and state
 // management"; this experiment isolates exactly that infrastructure share.
 func RunWorkflow(o Options) []*Table {
+	r := runWorkflow(o)
+	t := &Table{
+		Title:  "§2 Function composition: 8-step signup pipeline, 20 requests",
+		Header: []string{"Implementation", "Mean latency", "Per step", "vs monolith"},
+	}
+	steps := float64(len(signupSteps()))
+	t.AddRow("FaaS pipeline (SQS + Lambda + S3 state)",
+		FmtDur(r.pipeline), FmtDur(time.Duration(float64(r.pipeline)/steps)),
+		FmtRatio(float64(r.pipeline)/float64(r.monolith))+" slower")
+	t.AddRow("Single EC2 process (local state)",
+		FmtDur(r.monolith), FmtDur(time.Duration(float64(r.monolith)/steps)), "1x")
+	t.AddNote("paper context: Autodesk's Lambda-based signup averaged ~10 minutes end to end;")
+	t.AddNote("the infrastructure share measured here is pure queue/invoke/state overhead —")
+	t.AddNote("the business logic itself accounts for microseconds")
+	return []*Table{t}
+}
+
+func runWorkflow(o Options) workflowResult {
 	const requests = 20
 
 	// FaaS pipeline.
@@ -54,8 +77,7 @@ func RunWorkflow(o Options) []*Table {
 	}
 	rec := o.newSummary("pipeline")
 	client := c.ClientNode("client")
-	done := false
-	c.K.Spawn("driver", func(p *sim.Proc) {
+	drive(c.K, "workflow pipeline", sim.Time(4*time.Hour), sim.Time(time.Minute), func(p *sim.Proc) {
 		for i := 0; i < requests; i++ {
 			pr, err := pl.Submit(p, client, []byte(fmt.Sprintf("user-%03d", i)))
 			if err != nil {
@@ -65,20 +87,14 @@ func RunWorkflow(o Options) []*Table {
 			rec.Add(res.Latency)
 		}
 		pl.Stop()
-		done = true
 	})
-	if !runKernelUntil(c.K, sim.Time(4*time.Hour), sim.Time(time.Minute),
-		func() bool { return done }) {
-		panic("workflow: pipeline did not finish")
-	}
 	c.Close()
 
 	// Monolith baseline: the same eight steps in one process with local
 	// state on the instance volume.
 	c2 := NewCloud(o.Seed + 1)
 	mono := o.newSummary("monolith")
-	done2 := false
-	c2.K.Spawn("driver", func(p *sim.Proc) {
+	drive(c2.K, "workflow monolith", sim.Time(time.Hour), sim.Time(time.Minute), func(p *sim.Proc) {
 		inst := c2.EC2.Launch(p, compute.M5Large, ClientRack)
 		for i := 0; i < requests; i++ {
 			start := p.Now()
@@ -99,26 +115,7 @@ func RunWorkflow(o Options) []*Table {
 			}
 			mono.Add(time.Duration(p.Now() - start))
 		}
-		done2 = true
 	})
-	if !runKernelUntil(c2.K, sim.Time(time.Hour), sim.Time(time.Minute),
-		func() bool { return done2 }) {
-		panic("workflow: monolith did not finish")
-	}
 	c2.Close()
-
-	t := &Table{
-		Title:  "§2 Function composition: 8-step signup pipeline, 20 requests",
-		Header: []string{"Implementation", "Mean latency", "Per step", "vs monolith"},
-	}
-	steps := float64(len(signupSteps()))
-	t.AddRow("FaaS pipeline (SQS + Lambda + S3 state)",
-		FmtDur(rec.Mean()), FmtDur(time.Duration(float64(rec.Mean())/steps)),
-		FmtRatio(float64(rec.Mean())/float64(mono.Mean()))+" slower")
-	t.AddRow("Single EC2 process (local state)",
-		FmtDur(mono.Mean()), FmtDur(time.Duration(float64(mono.Mean())/steps)), "1x")
-	t.AddNote("paper context: Autodesk's Lambda-based signup averaged ~10 minutes end to end;")
-	t.AddNote("the infrastructure share measured here is pure queue/invoke/state overhead —")
-	t.AddNote("the business logic itself accounts for microseconds")
-	return []*Table{t}
+	return workflowResult{pipeline: rec.Mean(), monolith: mono.Mean()}
 }
